@@ -13,7 +13,6 @@ from .netdata import (
     AttributeMatrix,
     load_edge_list,
     load_attributes,
-    degrees,
     write_edge_list,
     write_attributes,
 )
@@ -21,10 +20,7 @@ from .skipnet import (
     Layer,
     SkipLayerNet,
     NetGradients,
-    forward,
     forward_batch,
-    backward,
-    gradient_check,
     init_net,
     net_to_json_dict,
     net_from_json_dict,
@@ -32,7 +28,6 @@ from .skipnet import (
 from .objective import (
     LossBreakdown,
     poisson_nll,
-    nll_node_gradients,
     identifiability_penalty,
     l1_penalty,
 )
@@ -42,6 +37,7 @@ from .optimizer import (
     OuterIterationRecord,
     GridResult,
     FitDivergenceError,
+    HierarchyViolationError,
     hierarchical_prox,
     update_side,
     fit,

@@ -2,7 +2,8 @@
 
 Every command is deterministic given its flags; outputs are plain CSV
 (LF newlines, full-precision floats) and JSON.  Exit codes: 0 success,
-1 runtime failure (divergence, IO trouble), 2 usage or validation error.
+1 runtime failure (divergence, a broken hierarchy constraint, IO trouble),
+2 usage or validation error.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .optimizer import (
     FitConfig,
     FitDivergenceError,
     HeterogeneityEstimate,
+    HierarchyViolationError,
     extract_selected,
     fit,
     grid_search,
@@ -335,6 +337,9 @@ def main(argv=None) -> int:
         return 2
     except FitDivergenceError as exc:
         print(f"fit diverged: {exc}", file=sys.stderr)
+        return 1
+    except HierarchyViolationError as exc:
+        print(f"fit failed: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

@@ -22,7 +22,6 @@ __all__ = [
     "NetworkDataError",
     "load_edge_list",
     "load_attributes",
-    "degrees",
     "write_edge_list",
     "write_attributes",
 ]
@@ -225,11 +224,6 @@ def load_attributes(source) -> AttributeMatrix:
     if not rows:
         raise NetworkDataError("attribute file has no data rows")
     return AttributeMatrix(np.array(rows, dtype=np.float64), names)
-
-
-def degrees(net: CountNetwork) -> tuple[np.ndarray, np.ndarray]:
-    """Return the cached (out_degree, in_degree) vectors."""
-    return net.out_degree, net.in_degree
 
 
 def write_edge_list(net: CountNetwork, stream) -> None:

@@ -26,12 +26,14 @@ from .netdata import CountNetwork, AttributeMatrix
 from .objective import (
     LossBreakdown,
     poisson_nll,
-    nll_node_gradients,
     identifiability_penalty,
     l1_penalty,
+    _check_values,
+    _nll_and_grad,
 )
 from .rng import Rng
 from .skipnet import (
+    Layer,
     SkipLayerNet,
     forward_batch,
     init_net,
@@ -45,6 +47,7 @@ __all__ = [
     "OuterIterationRecord",
     "GridResult",
     "FitDivergenceError",
+    "HierarchyViolationError",
     "hierarchical_prox",
     "update_side",
     "fit",
@@ -58,6 +61,10 @@ _MAX_RHO_HALVINGS = 10
 
 class FitDivergenceError(RuntimeError):
     """No descending step could be found after exhausting learning-rate halvings."""
+
+
+class HierarchyViolationError(RuntimeError):
+    """A trained net breaks ||W_k||_2 <= M*|theta_k|, which the prox must keep."""
 
 
 @dataclass(frozen=True)
@@ -197,15 +204,20 @@ def update_side(
 
     The other side's fitted values stay frozen at ``fixed_vals``; the
     quadratic identifiability penalty pulls this side's sum toward the
-    frozen side's sum.  A step that sends the smooth loss to +inf, or
+    frozen side's sum.  Each trial step costs one forward pass and one
+    loss-and-gradient evaluation; the backward pass runs once per point
+    a step is taken from.  A step that sends the smooth loss to +inf, or
     that increases the composite objective beyond rounding slack (a
-    fixed-step overshoot cycle looks exactly like this), is undone and
+    fixed-step overshoot cycle looks exactly like this), is undone: the
+    saved parameters are restored, the saved activations, loss and
+    gradients of the point it left are reused, and the step is
     retried with rho halved, up to 10 consecutive halvings per step;
     rho recovers after accepted steps.  If the halvings run out while
     the residual increase is tiny or still shrinking in proportion to
     the step, the net sits at a fixed point of the prox-gradient map
     and the loop stops early; running out against a large or infinite
-    increase raises FitDivergenceError.
+    increase raises FitDivergenceError.  A result that breaks the
+    hierarchy constraint raises HierarchyViolationError.
 
     Returns (fitted values, updated net, smooth-loss trace).  The trace
     has up to inner_epochs+1 entries, entry 0 being the loss at entry;
@@ -215,25 +227,28 @@ def update_side(
         raise ValueError(f"side must be 'alpha' or 'beta', got {side!r}")
     if inner_epochs < 0:
         raise ValueError("inner_epochs must be non-negative")
-    net = net.copy()
-    x2d = getattr(X, "values", X)
-    fixed = np.asarray(fixed_vals, dtype=np.float64)
+    fixed = _check_values(fixed_vals, A, z_n)
     target_sum = float(fixed.sum())
+    x2d = getattr(X, "values", X)
+    # every step builds new arrays and Layer objects, so a rejected step
+    # is undone by putting the saved references back
+    net = net.copy()
 
-    def smooth_loss(vals: np.ndarray) -> float:
+    def loss_and_upstream(vals: np.ndarray):
+        """Smooth loss and its gradient w.r.t. the fitted values."""
         if not np.all(np.isfinite(vals)):
-            return np.inf
+            return np.inf, None
         if side == "alpha":
-            nll = poisson_nll(vals, fixed, A, z_n)
+            nll, d_nll = _nll_and_grad(vals, fixed, A, z_n, side)
         else:
-            nll = poisson_nll(fixed, vals, A, z_n)
+            nll, d_nll = _nll_and_grad(fixed, vals, A, z_n, side)
         if not np.isfinite(nll):
-            return np.inf
-        ident, _ = identifiability_penalty(vals, target_sum, gamma)
-        return nll + ident
+            return np.inf, None
+        ident, d_ident = identifiability_penalty(vals, target_sum, gamma)
+        return nll + ident, d_nll + d_ident
 
     pre, post, vals = _forward_activations(net, x2d)
-    loss = smooth_loss(vals)
+    loss, upstream = loss_and_upstream(vals)
     trace = [loss]
     if inner_epochs == 0:
         return vals, net, np.asarray(trace)
@@ -247,31 +262,28 @@ def update_side(
     rho_full = rho
     halvings = 0
     first_increase = np.inf
+    grads = None
     epoch = 0
     while epoch < inner_epochs:
-        if side == "alpha":
-            upstream = nll_node_gradients(vals, fixed, A, z_n, "alpha")
-        else:
-            upstream = nll_node_gradients(fixed, vals, A, z_n, "beta")
-        _, d_ident = identifiability_penalty(vals, target_sum, gamma)
-        grads = _backward_from_activations(net, x2d, pre, post, upstream + d_ident)
+        if grads is None:
+            grads = _backward_from_activations(net, x2d, pre, post, upstream)
 
-        saved = (net.theta, [layer.copy() for layer in net.layers])
+        saved = (net.theta, net.layers)
         net.theta = net.theta - rho * grads.d_theta
-        for layer, g in zip(net.layers, grads.d_layers):
-            layer.weights = layer.weights - rho * g.weights
-            layer.biases = layer.biases - rho * g.biases
+        net.layers = [
+            Layer(layer.weights - rho * g.weights, layer.biases - rho * g.biases)
+            for layer, g in zip(net.layers, grads.d_layers)
+        ]
         _prox_net(net, rho * lam, M)
 
-        pre, post, vals = _forward_activations(net, x2d)
-        new_loss = smooth_loss(vals)
+        trial_pre, trial_post, trial_vals = _forward_activations(net, x2d)
+        new_loss, new_upstream = loss_and_upstream(trial_vals)
         new_composite = (
             new_loss + lam * float(np.abs(net.theta).sum())
             if np.isfinite(new_loss) else np.inf
         )
         if new_composite > composite + 1e-9 * max(1.0, abs(composite)):
             net.theta, net.layers = saved
-            pre, post, vals = _forward_activations(net, x2d)
             increase = new_composite - composite
             if halvings == 0:
                 first_increase = increase
@@ -297,25 +309,30 @@ def update_side(
                 )
             rho *= 0.5
             continue
-        loss = new_loss
+        pre, post, vals = trial_pre, trial_post, trial_vals
+        loss, upstream, grads = new_loss, new_upstream, None
         composite = new_composite
         trace.append(loss)
         epoch += 1
         halvings = 0
         rho = min(2.0 * rho, rho_full)
 
-    assert _hierarchy_gap(net, M) <= 1e-9 * max(1.0, M)
+    gap = _hierarchy_gap(net, M)
+    if not gap <= 1e-9 * max(1.0, M):
+        raise HierarchyViolationError(
+            f"{side} net breaks the hierarchy constraint by {gap:g} (M={M:g})"
+        )
     return vals, net, np.asarray(trace)
 
 
 def _loss_breakdown(alpha_vals, beta_vals, A, config: FitConfig, gamma: float,
                     net_alpha, net_beta) -> LossBreakdown:
-    gap = float(alpha_vals.sum() - beta_vals.sum())
+    ident, _ = identifiability_penalty(alpha_vals, float(beta_vals.sum()), gamma)
     return LossBreakdown(
         nll=poisson_nll(alpha_vals, beta_vals, A, config.z_n),
         l1_alpha=l1_penalty(net_alpha.theta, config.lambda1),
         l1_beta=l1_penalty(net_beta.theta, config.lambda2),
-        ident_penalty=gamma * gap * gap,
+        ident_penalty=ident,
     )
 
 

@@ -25,10 +25,7 @@ __all__ = [
     "Layer",
     "SkipLayerNet",
     "NetGradients",
-    "forward",
     "forward_batch",
-    "backward",
-    "gradient_check",
     "init_net",
     "net_to_json_dict",
     "net_from_json_dict",
@@ -116,17 +113,11 @@ def _forward_activations(net: SkipLayerNet, x2d: np.ndarray):
     return pre, post, out
 
 
-def forward(net: SkipLayerNet, x: np.ndarray) -> float:
-    """Evaluate theta'x + h_W(x) at a single input row."""
-    x = _check_input(net, x)
-    if x.ndim != 1:
-        raise ValueError("forward expects a single row; use forward_batch")
-    _, _, out = _forward_activations(net, x[np.newaxis, :])
-    return float(out[0])
-
-
 def forward_batch(net: SkipLayerNet, X) -> np.ndarray:
-    """Evaluate the net on every row of X; row i equals forward(net, X[i])."""
+    """Evaluate theta'x + h_W(x) on every row of X.
+
+    Row i is bit-for-bit the value of the one-row batch X[i:i+1].
+    """
     values = getattr(X, "values", X)
     x2d = _check_input(net, values)
     if x2d.ndim != 2:
@@ -135,24 +126,14 @@ def forward_batch(net: SkipLayerNet, X) -> np.ndarray:
     return out
 
 
-def backward(net: SkipLayerNet, X, upstream: np.ndarray) -> NetGradients:
+def _backward_from_activations(net, x2d, pre, post, upstream) -> NetGradients:
     """Gradients of sum_i upstream[i] * f(x_i) w.r.t. every parameter.
 
-    ``upstream[i]`` is the loss derivative at the i-th output.  The skip
-    path is linear, so d_theta = X' upstream exactly.
+    ``pre`` and ``post`` come from :func:`_forward_activations` on the
+    same net and batch; ``upstream[i]`` is the loss derivative at the
+    i-th output.  The skip path is linear, so d_theta = X' upstream.
+    Inputs are not validated.
     """
-    values = getattr(X, "values", X)
-    x2d = _check_input(net, values)
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != (x2d.shape[0],):
-        raise ValueError("upstream must have one entry per input row")
-    if not np.all(np.isfinite(upstream)):
-        raise ValueError("upstream contains non-finite entries")
-    pre, post, _ = _forward_activations(net, x2d)
-    return _backward_from_activations(net, x2d, pre, post, upstream)
-
-
-def _backward_from_activations(net, x2d, pre, post, upstream) -> NetGradients:
     d_theta = x2d.T @ upstream
     d_layers: list[Layer] = [None] * len(net.layers)  # type: ignore[list-item]
     if net.layers:
@@ -164,54 +145,6 @@ def _backward_from_activations(net, x2d, pre, post, upstream) -> NetGradients:
                 da = dz @ net.layers[i].weights
                 dz = da * (pre[i - 1] > 0.0)
     return NetGradients(d_theta, d_layers)
-
-
-def _param_views(net: SkipLayerNet):
-    yield net.theta
-    for layer in net.layers:
-        yield layer.weights
-        yield layer.biases
-
-
-def _grad_views(grads: NetGradients):
-    yield grads.d_theta
-    for layer in grads.d_layers:
-        yield layer.weights
-        yield layer.biases
-
-
-def gradient_check(net: SkipLayerNet, X, upstream: np.ndarray, step: float) -> float:
-    """Worst relative error of backward vs central finite differences.
-
-    The scalar objective is sum_i upstream[i] * f(x_i).  Parameters where
-    both estimates are below 1e-10 in magnitude are excluded.
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    values = getattr(X, "values", X)
-    upstream = np.asarray(upstream, dtype=np.float64)
-
-    def objective() -> float:
-        return float(forward_batch(net, values) @ upstream)
-
-    analytic = backward(net, values, upstream)
-    worst = 0.0
-    for param, grad in zip(_param_views(net), _grad_views(analytic)):
-        flat_p = param.reshape(-1)
-        flat_g = grad.reshape(-1)
-        for idx in range(flat_p.size):
-            orig = flat_p[idx]
-            flat_p[idx] = orig + step
-            hi = objective()
-            flat_p[idx] = orig - step
-            lo = objective()
-            flat_p[idx] = orig
-            numeric = (hi - lo) / (2.0 * step)
-            a, b = flat_g[idx], numeric
-            if abs(a) < 1e-10 and abs(b) < 1e-10:
-                continue
-            worst = max(worst, abs(a - b) / max(abs(a), abs(b)))
-    return worst
 
 
 def init_net(p: int, hidden_widths, rng: Rng, theta_scale: float = 0.1) -> SkipLayerNet:

@@ -17,19 +17,18 @@ from hetnet import (
     CountNetwork,
     FitConfig,
     Rng,
-    backward,
     fit,
     forward_batch,
     grid_search,
     hierarchical_prox,
     init_net,
     mle_fit,
-    nll_node_gradients,
     poisson_nll,
     shapley_importance,
     two_stage_select,
 )
 from hetnet.cli import main
+from hetnet.objective import _nll_and_grad
 from hetnet.rng import derive_seed, seed_for
 from hetnet.simbench import (
     gen_attributes,
@@ -38,6 +37,7 @@ from hetnet.simbench import (
     sample_network,
     selection_metrics,
 )
+from hetnet.skipnet import _backward_from_activations, _forward_activations
 
 # frozen linear benchmark (criteria 1, 2, 4)
 LIN_N, LIN_P, LIN_R = 100, 200, 10
@@ -207,7 +207,8 @@ def _away_from_kinks(net, X, margin: float = 1e-3) -> bool:
 
 
 def _fd_backward_error(net, X, upstream, h=1e-6):
-    grads = backward(net, X, upstream)
+    pre, post, _ = _forward_activations(net, X)
+    grads = _backward_from_activations(net, X, pre, post, upstream)
 
     def loss():
         return float(upstream @ forward_batch(net, X))
@@ -266,7 +267,7 @@ def test_criterion_6_gradient_correctness():
                  if i != j and dense[i, j] > 0]
         A = CountNetwork.from_edges(n, edges)
         for side, vals in (("alpha", f), ("beta", g)):
-            got = nll_node_gradients(f, g, A, z, side)
+            _, got = _nll_and_grad(f, g, A, z, side)
             h = 1e-6
             for i in range(n):
                 keep = vals[i]

@@ -141,6 +141,20 @@ def test_fit_invalid_config_exits_2(dataset, tmp_path):
     assert rc == 2
 
 
+def test_fit_broken_hierarchy_exits_1(dataset, tmp_path, capsys, monkeypatch):
+    import hetnet.optimizer as optimizer
+
+    monkeypatch.setattr(optimizer, "hierarchical_prox",
+                        lambda w1, theta, tau, M: (w1, theta))
+    cfg = _write_config(tmp_path / "config.json",
+                        **dict(FAST_FIT, inner_epochs=2, t_max_outer=1))
+    rc = main(["fit", "--edges", str(dataset / "edges.csv"),
+               "--attributes", str(dataset / "attributes.csv"),
+               "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 1
+    assert "hierarchy" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------- tune
 
 def test_tune_singleton_matches_fit(dataset, fitted, tmp_path):

@@ -7,7 +7,6 @@ from hetnet import (
     AttributeMatrix,
     CountNetwork,
     NetworkDataError,
-    degrees,
     load_attributes,
     load_edge_list,
     write_attributes,
@@ -63,25 +62,25 @@ def test_arrays_read_only():
         net.out_degree[0] = 99
 
 
-# ---------------------------------------------------------------- degrees
+# ------------------------------------------------------ cached degrees
 
 def test_degrees_empty_graph():
     net = CountNetwork.from_edges(3, [])
-    out, inn = degrees(net)
+    out, inn = net.out_degree, net.in_degree
     assert out.tolist() == [0, 0, 0]
     assert inn.tolist() == [0, 0, 0]
 
 
 def test_degrees_direct_sum():
     net = CountNetwork.from_edges(3, [(0, 1, 4), (2, 1, 6)])
-    out, inn = degrees(net)
+    out, inn = net.out_degree, net.in_degree
     assert out.tolist() == [4, 0, 6]
     assert inn.tolist() == [0, 10, 0]
 
 
 def test_degrees_cycle():
     net = CountNetwork.from_edges(3, [(0, 1, 1), (1, 2, 1), (2, 0, 1)])
-    out, inn = degrees(net)
+    out, inn = net.out_degree, net.in_degree
     assert out.tolist() == [1, 1, 1]
     assert inn.tolist() == [1, 1, 1]
 

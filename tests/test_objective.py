@@ -2,15 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hetnet import (
     CountNetwork,
     LossBreakdown,
     identifiability_penalty,
     l1_penalty,
-    nll_node_gradients,
     poisson_nll,
 )
+from hetnet.objective import _EXP_LIMIT, _nll_and_grad
 
 
 def _naive_nll(f, g, A: np.ndarray, z: float) -> float:
@@ -119,7 +120,7 @@ def test_nll_is_convex_along_segments():
 
 def test_gradient_empty_graph_hand_value():
     net = CountNetwork.from_edges(2, [])
-    grad = nll_node_gradients(np.zeros(2), np.zeros(2), net, 1.0, "alpha")
+    _, grad = _nll_and_grad(np.zeros(2), np.zeros(2), net, 1.0, "alpha")
     assert np.allclose(grad, [1.0, 1.0], atol=1e-15)
 
 
@@ -131,7 +132,7 @@ def test_gradient_zero_at_uniform_optimum():
     )
     v = np.full(n, math.log(c) / 2.0)
     for side in ("alpha", "beta"):
-        grad = nll_node_gradients(v, v, net, 1.0, side)
+        _, grad = _nll_and_grad(v, v, net, 1.0, side)
         assert np.allclose(grad, 0.0, atol=1e-9)
 
 
@@ -140,7 +141,7 @@ def test_gradient_zero_at_uniform_optimum():
 def test_gradient_matches_finite_differences(side, seed, n):
     net, f, g = _random_instance(seed, n)
     z = 1.0
-    grad = nll_node_gradients(f, g, net, z, side)
+    _, grad = _nll_and_grad(f, g, net, z, side)
     # FD roundoff scales with the loss magnitude over the step; use a
     # balanced step and a loss-scaled absolute floor
     step = 1e-5
@@ -160,7 +161,7 @@ def test_gradient_matches_finite_differences(side, seed, n):
 def test_gradient_with_z_scaling_matches_fd():
     net, f, g = _random_instance(31, 7)
     z = 3.0
-    grad = nll_node_gradients(f, g, net, z, "beta")
+    _, grad = _nll_and_grad(f, g, net, z, "beta")
     step = 1e-6
     for j in range(net.n):
         orig = g[j]
@@ -172,16 +173,73 @@ def test_gradient_with_z_scaling_matches_fd():
         assert grad[j] == pytest.approx((hi - lo) / (2 * step), rel=1e-6, abs=1e-8)
 
 
-def test_gradient_overflow_raises():
+def test_gradient_overflow_returns_inf():
     net = CountNetwork.from_edges(2, [(0, 1, 1)])
-    with pytest.raises(FloatingPointError):
-        nll_node_gradients(np.array([500.0, 0.0]), np.array([500.0, 0.0]), net, 1.0, "alpha")
+    value, grad = _nll_and_grad(np.array([500.0, 0.0]), np.array([500.0, 0.0]),
+                                net, 1.0, "alpha")
+    assert value == np.inf
+    assert grad is None
 
 
 def test_gradient_side_validated():
     net = CountNetwork.from_edges(2, [(0, 1, 1)])
     with pytest.raises(ValueError, match="side"):
-        nll_node_gradients(np.zeros(2), np.zeros(2), net, 1.0, "gamma")
+        _nll_and_grad(np.zeros(2), np.zeros(2), net, 1.0, "gamma")
+
+
+# ------------------------------------------------- kernel properties
+
+@st.composite
+def _kernel_instances(draw):
+    n = draw(st.integers(2, 12))
+    z = draw(st.floats(0.25, 5.0))
+    vals = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+    f = np.array(draw(st.lists(vals, min_size=n, max_size=n)))
+    g = np.array(draw(st.lists(vals, min_size=n, max_size=n)))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    counts = draw(st.lists(st.integers(0, 6), min_size=len(pairs), max_size=len(pairs)))
+    net = CountNetwork.from_edges(n, [(i, j, c) for (i, j), c in zip(pairs, counts)])
+    side = draw(st.sampled_from(["alpha", "beta"]))
+    return net, f, g, z, side
+
+
+@settings(max_examples=150, deadline=None)
+@given(_kernel_instances())
+def test_kernel_value_is_poisson_nll_bit_for_bit(inst):
+    net, f, g, z, side = inst
+    value, _ = _nll_and_grad(f, g, net, z, side)
+    assert value == poisson_nll(f, g, net, z)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_kernel_instances())
+def test_kernel_gradient_matches_naive_double_sum(inst):
+    net, f, g, z, side = inst
+    A = _dense(net)
+    _, grad = _nll_and_grad(f, g, net, z, side)
+    for i in range(net.n):
+        # d/df_i sums over j != i; d/dg_i sums over senders j != i
+        terms = [
+            (math.exp((f[i] + g[j]) / z) - A[i, j]) / z if side == "alpha"
+            else (math.exp((f[j] + g[i]) / z) - A[j, i]) / z
+            for j in range(net.n) if j != i
+        ]
+        naive = math.fsum(terms)
+        scale = max(1.0, math.fsum(abs(t) for t in terms))
+        assert abs(grad[i] - naive) <= 1e-10 * scale
+
+
+@settings(max_examples=100, deadline=None)
+@given(_kernel_instances(), st.floats(1e-6, 1e4))
+def test_kernel_past_overflow_limit_returns_inf(inst, excess):
+    net, f, g, z, side = inst
+    # push one sender past the limit: max f/z + max g/z > _EXP_LIMIT
+    f = f.copy()
+    f[0] = z * (_EXP_LIMIT + excess) - g.max()
+    value, grad = _nll_and_grad(f, g, net, z, side)
+    assert value == np.inf
+    assert grad is None
+    assert poisson_nll(f, g, net, z) == np.inf
 
 
 # ------------------------------------------------- identifiability penalty
@@ -189,19 +247,20 @@ def test_gradient_side_validated():
 def test_ident_penalty_at_target():
     value, grad = identifiability_penalty(np.array([2.0, -2.0, 3.0]), 3.0, 1.5)
     assert value == 0.0
-    assert np.array_equal(grad, np.zeros(3))
+    assert grad == 0.0
 
 
 def test_ident_penalty_hand_value():
+    # the gradient is the same for every node, so it is one scalar
     value, grad = identifiability_penalty(np.array([1.0, 1.0]), 0.0, 0.5)
     assert value == 2.0
-    assert np.array_equal(grad, np.array([2.0, 2.0]))
+    assert grad == 2.0
 
 
 def test_ident_penalty_disabled():
     value, grad = identifiability_penalty(np.array([9.0, 9.0]), 0.0, 0.0)
     assert value == 0.0
-    assert np.array_equal(grad, np.zeros(2))
+    assert grad == 0.0
 
 
 def test_ident_penalty_gradient_matches_fd():
@@ -216,7 +275,7 @@ def test_ident_penalty_gradient_matches_fd():
         fm[i] -= step
         hi, _ = identifiability_penalty(fp, target, gamma)
         lo, _ = identifiability_penalty(fm, target, gamma)
-        assert grad[i] == pytest.approx((hi - lo) / (2 * step), rel=1e-6)
+        assert grad == pytest.approx((hi - lo) / (2 * step), rel=1e-6)
 
 
 def test_ident_penalty_rejects_negative_gamma():

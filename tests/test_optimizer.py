@@ -4,10 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import hetnet.optimizer as optimizer_mod
 from hetnet import (
     CountNetwork,
     FitConfig,
     FitDivergenceError,
+    HierarchyViolationError,
     Rng,
     extract_selected,
     fit,
@@ -222,6 +224,59 @@ def test_update_side_unrecoverable_step_raises():
     # a step size so large that ten halvings still overflow the rates
     with pytest.raises(FitDivergenceError):
         update_side("alpha", net, X, A, np.zeros(5), 0.0, 0.0, 1e30, 1.0, 1.0, 5)
+
+
+def test_update_side_broken_hierarchy_raises(monkeypatch):
+    # with the prox disabled nothing restores ||W_k|| <= M|theta_k|; the
+    # check is an explicit raise, so it also holds under python -O
+    monkeypatch.setattr(optimizer_mod, "hierarchical_prox",
+                        lambda w1, theta, tau, M: (w1, theta))
+    A, X = _random_instance(7, 6)
+    net = init_net(3, (4,), Rng(3))
+    net.theta[:] = 0.0
+    assert _hierarchy_gap(net, 1.0) > 0.0
+    with pytest.raises(HierarchyViolationError, match="hierarchy"):
+        update_side("alpha", net, X, A, np.zeros(6), 0.0, 0.0, 1e-3, 1.0, 1.0, 3)
+
+
+def test_update_side_rejected_steps_reuse_saved_work(monkeypatch):
+    # a rejected step restores the saved activations and gradients: one
+    # forward per attempted step (one per prox call) plus the entry one,
+    # and one backward per point a step is taken from
+    counts = {"forward": 0, "backward": 0, "prox": 0}
+
+    def counting(key, fn):
+        def wrapped(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for key, name in (("forward", "_forward_activations"),
+                      ("backward", "_backward_from_activations"),
+                      ("prox", "hierarchical_prox")):
+        monkeypatch.setattr(optimizer_mod, name,
+                            counting(key, getattr(optimizer_mod, name)))
+    A, X = _random_instance(8, 8)
+    net = init_net(3, (3,), Rng(4))
+    # rho far above the stable step size forces many rejections
+    _, _, trace = update_side(
+        "alpha", net, X, A, np.zeros(8), 0.1, 0.2, 0.1, 1.0, 1.0, 40
+    )
+    accepted = len(trace) - 1
+    assert counts["prox"] > accepted + 10
+    assert counts["forward"] == counts["prox"] + 1
+    assert counts["backward"] <= accepted + 1
+
+
+def test_update_side_validates_fixed_values_once_at_entry():
+    A, X = _random_instance(9, 5)
+    net = init_net(3, (), Rng(2))
+    with pytest.raises(ValueError, match="shape"):
+        update_side("beta", net, X, A, np.zeros(4), 0.0, 0.0, 1e-3, 1.0, 1.0, 1)
+    with pytest.raises(ValueError, match="finite"):
+        update_side("beta", net, X, A, np.full(5, np.nan), 0.0, 0.0, 1e-3, 1.0, 1.0, 1)
+    with pytest.raises(ValueError, match="z_n"):
+        update_side("beta", net, X, A, np.zeros(5), 0.0, 0.0, 1e-3, 1.0, 0.0, 1)
 
 
 # --------------------------------------------------------------------- fit

@@ -7,14 +7,12 @@ from hetnet import (
     Layer,
     Rng,
     SkipLayerNet,
-    backward,
-    forward,
     forward_batch,
-    gradient_check,
     init_net,
     net_from_json_dict,
     net_to_json_dict,
 )
+from hetnet.skipnet import _backward_from_activations, _forward_activations
 
 
 def _zero_net(p: int, widths=(3, 2)) -> SkipLayerNet:
@@ -30,17 +28,27 @@ def _random_net(p: int, widths, seed: int) -> SkipLayerNet:
     return init_net(p, widths, Rng(seed))
 
 
+def _row(net: SkipLayerNet, x) -> float:
+    """The net at one input row, evaluated as a one-row batch."""
+    return float(forward_batch(net, np.asarray(x)[np.newaxis, :])[0])
+
+
+def _backward(net: SkipLayerNet, X, upstream):
+    pre, post, _ = _forward_activations(net, X)
+    return _backward_from_activations(net, X, pre, post, upstream)
+
+
 # ---------------------------------------------------------------- forward
 
 def test_forward_zero_net():
     net = _zero_net(4)
-    assert forward(net, np.array([1.0, -2.0, 3.0, 0.5])) == 0.0
+    assert _row(net, np.array([1.0, -2.0, 3.0, 0.5])) == 0.0
 
 
 def test_forward_pure_skip_path():
     net = _zero_net(2)
     net.theta[:] = [2.0, 0.0]
-    assert forward(net, np.array([3.0, 5.0])) == 6.0
+    assert _row(net, np.array([3.0, 5.0])) == 6.0
 
 
 def test_forward_hand_built_relu():
@@ -50,14 +58,14 @@ def test_forward_hand_built_relu():
         Layer(np.array([[2.0]]), np.zeros(1)),
     ]
     net = SkipLayerNet(2, np.zeros(2), layers)
-    assert forward(net, np.array([3.0, 5.0])) == 0.0
-    assert forward(net, np.array([5.0, 3.0])) == 4.0
+    assert _row(net, np.array([3.0, 5.0])) == 0.0
+    assert _row(net, np.array([5.0, 3.0])) == 4.0
 
 
 def test_forward_rejects_wrong_width():
     net = _zero_net(3)
     with pytest.raises(ValueError, match="columns"):
-        forward(net, np.array([1.0, 2.0]))
+        forward_batch(net, np.array([[1.0, 2.0]]))
 
 
 def test_constructor_rejects_bad_shapes():
@@ -81,18 +89,12 @@ def test_forward_batch_zero_net():
     assert np.array_equal(out, np.zeros(6))
 
 
-def test_forward_batch_single_row_matches_forward():
-    net = _random_net(3, (4,), seed=5)
-    x = np.array([[0.3, -0.7, 1.1]])
-    assert forward_batch(net, x)[0] == forward(net, x[0])
-
-
 def test_forward_batch_bitwise_equals_row_loop():
     # einsum keeps batched rows identical to one-at-a-time evaluation
     net = _random_net(3, (5, 3), seed=17)
     X = np.random.default_rng(2).normal(size=(5, 3))
     batch = forward_batch(net, X)
-    rows = np.array([forward(net, X[i]) for i in range(5)])
+    rows = np.array([forward_batch(net, X[i:i + 1])[0] for i in range(5)])
     assert np.array_equal(batch, rows)
 
 
@@ -109,7 +111,7 @@ def test_forward_batch_accepts_attribute_matrix():
 def test_backward_zero_upstream():
     net = _random_net(4, (3, 2), seed=3)
     X = np.random.default_rng(1).normal(size=(6, 4))
-    grads = backward(net, X, np.zeros(6))
+    grads = _backward(net, X, np.zeros(6))
     assert np.array_equal(grads.d_theta, np.zeros(4))
     for layer in grads.d_layers:
         assert np.all(layer.weights == 0.0)
@@ -122,59 +124,17 @@ def test_backward_skip_path_exact():
     net.theta[:] = [0.5, -1.0, 2.0]
     X = np.random.default_rng(7).normal(size=(5, 3))
     u = np.random.default_rng(8).normal(size=5)
-    grads = backward(net, X, u)
+    grads = _backward(net, X, u)
     assert np.allclose(grads.d_theta, X.T @ u, rtol=0, atol=1e-14)
-
-
-def test_backward_rejects_nonfinite_upstream():
-    net = _zero_net(2)
-    with pytest.raises(ValueError, match="non-finite"):
-        backward(net, np.zeros((1, 2)), np.array([float("nan")]))
 
 
 def test_backward_shapes_match_parameters():
     net = _random_net(4, (3, 2), seed=9)
-    grads = backward(net, np.zeros((2, 4)), np.ones(2))
+    grads = _backward(net, np.zeros((2, 4)), np.ones(2))
     assert grads.d_theta.shape == net.theta.shape
     for g, l in zip(grads.d_layers, net.layers):
         assert g.weights.shape == l.weights.shape
         assert g.biases.shape == l.biases.shape
-
-
-# --------------------------------------------------------- gradient_check
-
-def test_gradient_check_linear_only_net():
-    net = _zero_net(3, widths=(4, 2))
-    net.theta[:] = [1.0, -2.0, 0.5]
-    X = np.random.default_rng(3).normal(size=(6, 3))
-    u = np.random.default_rng(4).normal(size=6)
-    assert gradient_check(net, X, u, step=1e-6) < 1e-8
-
-
-def test_gradient_check_random_net_away_from_kinks():
-    net = _random_net(4, (3, 2), seed=21)
-    rng = np.random.default_rng(11)
-    X = rng.normal(size=(6, 4))
-    # reject rows that land near a ReLU kink, where the two-sided
-    # difference quotient straddles the nondifferentiability
-    from hetnet.skipnet import _forward_activations
-
-    for _ in range(200):
-        pre, _, _ = _forward_activations(net, X)
-        min_gap = min(float(np.abs(z).min()) for z in pre[:-1])
-        if min_gap > 1e-3:
-            break
-        X = rng.normal(size=(6, 4))
-    else:
-        pytest.fail("could not find kink-free inputs")
-    u = rng.normal(size=6)
-    assert gradient_check(net, X, u, step=1e-6) < 1e-5
-
-
-def test_gradient_check_requires_positive_step():
-    net = _zero_net(2)
-    with pytest.raises(ValueError, match="step"):
-        gradient_check(net, np.zeros((1, 2)), np.zeros(1), step=0.0)
 
 
 # ----------------------------------------------------------------- init
@@ -243,4 +203,4 @@ def test_json_dict_tolerates_unknown_keys():
 def test_json_dict_layerless_net():
     net = SkipLayerNet(3, np.array([1.0, 0.0, -2.0]), [])
     again, _ = net_from_json_dict(net_to_json_dict(net, 2.0))
-    assert forward(again, np.array([1.0, 1.0, 1.0])) == -1.0
+    assert _row(again, [1.0, 1.0, 1.0]) == -1.0
