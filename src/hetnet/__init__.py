@@ -45,7 +45,7 @@ from .optimizer import (
     hbic,
     grid_search,
 )
-from .baselines import MleEstimate, mle_fit, lasso_fit, two_stage_select
+from .baselines import MleEstimate, mle_fit, two_stage_select
 from .simbench import (
     GroundTruth,
     MethodResult,
@@ -57,12 +57,11 @@ from .simbench import (
     rmse,
     aggregate_rmse,
     selection_metrics,
-    register_method,
     run_replications,
     write_metrics_csv,
     write_raw_csv,
 )
-from .importance import AttributionReport, shapley_importance, rank_features
+from .importance import AttributionReport, shapley_importance
 from .rng import Rng, derive_seed, seed_for
 
 __version__ = "0.1.0"

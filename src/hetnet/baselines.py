@@ -19,7 +19,6 @@ from .netdata import CountNetwork, AttributeMatrix
 __all__ = [
     "MleEstimate",
     "mle_fit",
-    "lasso_fit",
     "two_stage_select",
 ]
 
@@ -136,10 +135,10 @@ def _standardize(x2d: np.ndarray):
     xs = np.zeros_like(x2d)
     xs[:, live] = (x2d[:, live] - mean[live]) / sd[live]
     # column-contiguous so per-coordinate dot products stay cheap
-    return np.asfortranarray(xs), mean, sd, live
+    return np.asfortranarray(xs), live
 
 
-def _cd_path_step(xs, live, yc, lam, beta, r, max_iter, tol, n):
+def _cd_path_step(xs, live, lam, beta, r, max_iter, tol, n):
     """Cyclic coordinate descent on standardized data; beta and r update in place.
 
     Full sweeps alternate with sweeps over the current active set, the
@@ -177,32 +176,6 @@ def _cd_path_step(xs, live, yc, lam, beta, r, max_iter, tol, n):
     return False
 
 
-def lasso_fit(X, y, lam: float, max_iter: int = 1000, tol: float = 1e-10):
-    """Lasso regression (1/2n)||y - b0 - X beta||^2 + lam*||beta||_1.
-
-    Columns are standardized internally and the penalty applies on the
-    standardized scale; returned coefficients are on the original scale.
-    Constant columns get coefficient 0.
-    """
-    if lam < 0:
-        raise ValueError("lambda must be non-negative")
-    x2d = np.asarray(getattr(X, "values", X), dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    n, p = x2d.shape
-    if y.shape != (n,):
-        raise ValueError("response length must match row count")
-    xs, mean, sd, live = _standardize(x2d)
-    ym = float(y.mean())
-    yc = y - ym
-    beta = np.zeros(p)
-    r = yc.copy()
-    _cd_path_step(xs, live, yc, lam, beta, r, max_iter, tol, n)
-    coef = np.zeros(p)
-    coef[live] = beta[live] / sd[live]
-    intercept = ym - float(coef @ mean)
-    return coef, intercept
-
-
 def _regression_hbic(rss: float, s: int, n: int, p: int) -> float:
     # n*log(RSS/n) + s*loglog(n)*log(p); RSS floored to keep log finite
     rss = max(rss, np.finfo(np.float64).tiny)
@@ -212,10 +185,13 @@ def _regression_hbic(rss: float, s: int, n: int, p: int) -> float:
 def _lasso_stage(x2d: np.ndarray, y: np.ndarray, grid, max_iter: int, tol: float):
     """Fit a lasso path on one response, score by the regression criterion.
 
-    Returns (selected index set, fitted values at the winning penalty).
+    Each path point minimizes (1/2n)||y - b0 - Xs beta||^2 + lam*||beta||_1
+    on standardized columns Xs; constant columns stay at 0.  A one-entry
+    grid is a single lasso fit.  Returns (selected index set, fitted
+    values at the winning penalty).
     """
     n, p = x2d.shape
-    xs, mean, sd, live = _standardize(x2d)
+    xs, live = _standardize(x2d)
     ym = float(y.mean())
     yc = y - ym
     if grid is None:
@@ -229,7 +205,7 @@ def _lasso_stage(x2d: np.ndarray, y: np.ndarray, grid, max_iter: int, tol: float
     r = yc.copy()
     best = None
     for lam in grid:
-        _cd_path_step(xs, live, yc, lam, beta, r, max_iter, tol, n)
+        _cd_path_step(xs, live, lam, beta, r, max_iter, tol, n)
         s = int(np.count_nonzero(np.abs(beta) > 1e-12))
         rss = float(r @ r)
         score = _regression_hbic(rss, s, n, p)
@@ -253,6 +229,12 @@ def two_stage_select(A: CountNetwork, X, z_n: float = 1.0, lasso_grid=None,
     xmat = X if isinstance(X, AttributeMatrix) else AttributeMatrix(np.asarray(X))
     if A.n != xmat.n:
         raise ValueError("network and attributes disagree on n")
+    if lasso_grid is not None:
+        lasso_grid = [float(l) for l in lasso_grid]
+        # 0 <= l < inf is False for NaN as well
+        if not lasso_grid or not all(0.0 <= l < math.inf for l in lasso_grid):
+            raise ValueError("lasso_grid must be a non-empty list of finite, "
+                             "non-negative penalties")
     mle = mle_fit(A, z_n)
     x2d = xmat.values
     s_alpha, alpha_hat = _lasso_stage(x2d, mle.alpha_hat, lasso_grid, max_iter, tol)

@@ -21,7 +21,6 @@ from .skipnet import SkipLayerNet, forward_batch
 __all__ = [
     "AttributionReport",
     "shapley_importance",
-    "rank_features",
 ]
 
 
@@ -146,11 +145,3 @@ def shapley_importance(net: SkipLayerNet, X, features, samples: int, seed: int,
         node_stderrs=node_stderrs,
     )
 
-
-def rank_features(report: AttributionReport) -> list[int]:
-    """Feature indices ordered best-first (largest mean |Shapley|, ties by index)."""
-    if not report.features:
-        raise ValueError("report has no features")
-    order = sorted(range(len(report.features)),
-                   key=lambda s: (-report.mean_abs[s], report.features[s]))
-    return [report.features[s] for s in order]

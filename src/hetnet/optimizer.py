@@ -206,17 +206,16 @@ def update_side(
     quadratic identifiability penalty pulls this side's sum toward the
     frozen side's sum.  Each trial step costs one forward pass and one
     loss-and-gradient evaluation; the backward pass runs once per point
-    a step is taken from.  A step that sends the smooth loss to +inf, or
-    that increases the composite objective beyond rounding slack (a
-    fixed-step overshoot cycle looks exactly like this), is undone: the
-    saved parameters are restored, the saved activations, loss and
-    gradients of the point it left are reused, and the step is
-    retried with rho halved, up to 10 consecutive halvings per step;
-    rho recovers after accepted steps.  If the halvings run out while
-    the residual increase is tiny or still shrinking in proportion to
-    the step, the net sits at a fixed point of the prox-gradient map
-    and the loop stops early; running out against a large or infinite
-    increase raises FitDivergenceError.  A result that breaks the
+    a step is taken from.  A step is accepted when the composite
+    objective (smooth loss + L1) stays within 1e-9*max(1, |composite|)
+    of where it was; otherwise the saved parameters are restored, the
+    saved activations, loss and gradients of the point it left are
+    reused, and the step is retried with rho halved.  rho recovers after
+    accepted steps.  After 10 consecutive halvings the update ends with
+    one rule: if the last trial raised the composite by at most
+    1e-3*max(1, |composite|), the net sits at a fixed point of the
+    prox-gradient map and the loop stops early; a larger, infinite or
+    NaN increase raises FitDivergenceError.  A result that breaks the
     hierarchy constraint raises HierarchyViolationError.
 
     Returns (fitted values, updated net, smooth-loss trace).  The trace
@@ -261,7 +260,6 @@ def update_side(
     composite = loss + lam * float(np.abs(net.theta).sum())
     rho_full = rho
     halvings = 0
-    first_increase = np.inf
     grads = None
     epoch = 0
     while epoch < inner_epochs:
@@ -278,29 +276,16 @@ def update_side(
 
         trial_pre, trial_post, trial_vals = _forward_activations(net, x2d)
         new_loss, new_upstream = loss_and_upstream(trial_vals)
-        new_composite = (
-            new_loss + lam * float(np.abs(net.theta).sum())
-            if np.isfinite(new_loss) else np.inf
-        )
-        if new_composite > composite + 1e-9 * max(1.0, abs(composite)):
+        new_composite = new_loss + lam * float(np.abs(net.theta).sum())
+        # written so that a NaN composite is rejected too
+        if not new_composite <= composite + 1e-9 * max(1.0, abs(composite)):
             net.theta, net.layers = saved
-            increase = new_composite - composite
-            if halvings == 0:
-                first_increase = increase
             halvings += 1
             if halvings > _MAX_RHO_HALVINGS:
-                # an increase that kept shrinking with rho is the cap
-                # rescale pushing uphill at a rate proportional to the
-                # step: the net sits at a fixed point of the map and no
-                # step size can move it.  An increase that stayed large
-                # or infinite is real divergence.
-                tiny = increase <= 1e-6 * max(1.0, abs(composite))
-                vanishing = (
-                    np.isfinite(first_increase)
-                    and increase <= first_increase / 256.0
-                    and increase <= 1e-3 * max(1.0, abs(composite))
-                )
-                if np.isfinite(increase) and (tiny or vanishing):
+                # an increase this small after ten halvings is rounding
+                # or the cap rescale pushing uphill: no step size moves
+                # the net, so it sits at a fixed point of the map
+                if new_composite - composite <= 1e-3 * max(1.0, abs(composite)):
                     break
                 raise FitDivergenceError(
                     f"{side} update diverged at epoch {epoch}: loss would not "

@@ -34,7 +34,6 @@ __all__ = [
     "rmse",
     "aggregate_rmse",
     "selection_metrics",
-    "register_method",
     "run_replications",
     "write_metrics_csv",
     "write_raw_csv",
@@ -223,21 +222,14 @@ def _method_oracle(A, X, config: FitConfig, seed: int, truth: GroundTruth) -> Me
                         set(truth.a_alpha), set(truth.a_beta))
 
 
+# name -> fn(A, X, config, seed, truth) -> MethodResult; truth is there
+# for oracle-style diagnostics and real estimators ignore it
 _METHOD_REGISTRY = {
     "hetnet": _method_hetnet,
     "mle": _method_mle,
     "mle_lasso": _method_mle_lasso,
     "oracle": _method_oracle,
 }
-
-
-def register_method(name: str, fn) -> None:
-    """Add or replace an estimator in the harness registry.
-
-    fn(A, X, config, seed, truth) -> MethodResult.  truth is provided
-    for oracle-style diagnostics; real estimators must ignore it.
-    """
-    _METHOD_REGISTRY[name] = fn
 
 
 @dataclass
@@ -284,9 +276,7 @@ def _make_truth(setting: str, X, z_n: float) -> GroundTruth:
 
 
 def _run_one_replication(args):
-    # method callables ride along in the task so that estimators
-    # registered at runtime still resolve inside pool workers
-    setting, n, p, r, base_seed, method_fns, config, z_n = args
+    setting, n, p, r, base_seed, method_names, config, z_n = args
     seed_r = derive_seed(base_seed, r)
     guard = 10 if setting == "nonlinear" else 0
     X = gen_attributes(n, p, seed_for("attributes", seed_r), guard_cols=guard)
@@ -295,9 +285,9 @@ def _run_one_replication(args):
 
     results = {}
     errors = {}
-    for name, fn in method_fns:
+    for name in method_names:
         try:
-            res = fn(A, X, config, seed_for(name, seed_r), truth)
+            res = _METHOD_REGISTRY[name](A, X, config, seed_for(name, seed_r), truth)
             rows = {}
             for side, est, true_vals, s_hat, s_true in (
                 ("alpha", res.alpha_hat, truth.alpha0, res.s_alpha, truth.a_alpha),
@@ -333,9 +323,8 @@ def run_replications(setting: str, n: int, p: int, R: int, methods, base_seed: i
         if name not in _METHOD_REGISTRY:
             raise ValueError(f"unknown method {name!r}")
     config = config or FitConfig()
-    method_fns = [(name, _METHOD_REGISTRY[name]) for name in method_names]
 
-    tasks = [(setting, n, p, r, base_seed, method_fns, config, z_n)
+    tasks = [(setting, n, p, r, base_seed, method_names, config, z_n)
              for r in range(1, R + 1)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

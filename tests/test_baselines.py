@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from hetnet import CountNetwork, lasso_fit, mle_fit, two_stage_select
+from hetnet import CountNetwork, mle_fit, two_stage_select
+from hetnet.baselines import _lasso_stage
 
 
 def _uniform_network(n: int, c: int) -> CountNetwork:
@@ -141,18 +142,27 @@ def test_mle_validation():
         mle_fit(_uniform_network(3, 1), z_n=0.0)
 
 
-# --------------------------------------------------------------- lasso_fit
+# ------------------------------------------------- one-penalty lasso path
+
+def _lasso(X, y, lam):
+    """A single lasso fit: the path solver on a one-entry grid."""
+    return _lasso_stage(np.asarray(X, dtype=np.float64), y, [lam], 1000, 1e-10)
+
+
+def _standardized(X):
+    return (X - X.mean(axis=0)) / X.std(axis=0)
+
 
 def test_lasso_zero_penalty_matches_least_squares():
     rng = np.random.default_rng(0)
     n, p = 40, 5
     X = np.linalg.qr(rng.normal(size=(n, p)))[0]  # orthonormal columns
     y = rng.normal(size=n)
-    coef, intercept = lasso_fit(X, y, 0.0)
+    selected, fitted = _lasso(X, y, 0.0)
     design = np.column_stack([np.ones(n), X])
     ols = np.linalg.lstsq(design, y, rcond=None)[0]
-    assert intercept == pytest.approx(ols[0], abs=1e-8)
-    np.testing.assert_allclose(coef, ols[1:], atol=1e-8)
+    assert selected == set(range(p))
+    np.testing.assert_allclose(fitted, design @ ols, atol=1e-8)
 
 
 def test_lasso_above_lambda_max_is_null_model():
@@ -160,11 +170,10 @@ def test_lasso_above_lambda_max_is_null_model():
     n, p = 30, 4
     X = rng.normal(size=(n, p))
     y = rng.normal(size=n)
-    xs = (X - X.mean(axis=0)) / X.std(axis=0)
-    lam_max = float(np.abs(xs.T @ (y - y.mean())).max()) / n
-    coef, intercept = lasso_fit(X, y, lam_max * 1.000001)
-    assert np.all(coef == 0.0)
-    assert intercept == pytest.approx(float(y.mean()), rel=1e-12)
+    lam_max = float(np.abs(_standardized(X).T @ (y - y.mean())).max()) / n
+    selected, fitted = _lasso(X, y, lam_max * 1.000001)
+    assert selected == set()
+    np.testing.assert_allclose(fitted, float(y.mean()), rtol=1e-12)
 
 
 def test_lasso_single_column_closed_form():
@@ -174,10 +183,12 @@ def test_lasso_single_column_closed_form():
     x = (x - x.mean()) / x.std()  # exact unit population variance
     y = 0.8 * x + rng.normal(scale=0.3, size=n)
     lam = 0.1
-    coef, _ = lasso_fit(x[:, None], y, lam)
+    selected, fitted = _lasso(x[:, None], y, lam)
     cov = float(x @ (y - y.mean())) / n
     want = math.copysign(max(abs(cov) - lam, 0.0), cov)
-    assert coef[0] == pytest.approx(want, rel=1e-8)
+    assert selected == {0}
+    slope = float(x @ (fitted - y.mean())) / float(x @ x)
+    assert slope == pytest.approx(want, rel=1e-8)
 
 
 def test_lasso_solution_satisfies_kkt():
@@ -187,35 +198,30 @@ def test_lasso_solution_satisfies_kkt():
     beta_true = np.array([1.5, -2.0, 0.0, 0.0, 0.7, 0.0, 0.0, 0.0])
     y = X @ beta_true + rng.normal(scale=0.5, size=n)
     lam = 0.15
-    coef, intercept = lasso_fit(X, y, lam)
-    mean, sd = X.mean(axis=0), X.std(axis=0)
-    xs = (X - mean) / sd
-    beta_std = coef * sd
-    r = (y - y.mean()) - xs @ beta_std
-    grad = xs.T @ r / n
+    selected, fitted = _lasso(X, y, lam)
+    assert {0, 1, 4} <= selected
+    xs = _standardized(X)
+    active = sorted(selected)
+    # the fit lies in the span of the selected columns; its coefficients
+    # there give the signs the stationarity condition needs
+    beta_active = np.linalg.lstsq(xs[:, active], fitted - y.mean(), rcond=None)[0]
+    np.testing.assert_allclose(xs[:, active] @ beta_active, fitted - y.mean(),
+                               atol=1e-10)
+    grad = xs.T @ (y - fitted) / n
     for j in range(p):
-        if beta_std[j] == 0.0:
-            assert abs(grad[j]) <= lam + 1e-8
+        if j in selected:
+            k = active.index(j)
+            assert grad[j] == pytest.approx(lam * np.sign(beta_active[k]), abs=1e-8)
         else:
-            assert grad[j] == pytest.approx(lam * np.sign(beta_std[j]), abs=1e-8)
-    fitted = intercept + X @ coef
-    assert np.allclose(fitted, y.mean() + xs @ beta_std, atol=1e-10)
+            assert abs(grad[j]) <= lam + 1e-8
 
 
 def test_lasso_constant_column_gets_zero():
     rng = np.random.default_rng(4)
     X = np.column_stack([np.full(20, 3.0), rng.normal(size=20)])
     y = rng.normal(size=20)
-    coef, _ = lasso_fit(X, y, 0.05)
-    assert coef[0] == 0.0
-
-
-def test_lasso_validation():
-    X = np.zeros((5, 2))
-    with pytest.raises(ValueError):
-        lasso_fit(X, np.zeros(5), -0.1)
-    with pytest.raises(ValueError):
-        lasso_fit(X, np.zeros(4), 0.1)
+    selected, _ = _lasso(X, y, 0.05)
+    assert 0 not in selected
 
 
 # --------------------------------------------------------- two_stage_select
@@ -270,3 +276,14 @@ def test_two_stage_validation():
     A = _uniform_network(4, 1)
     with pytest.raises(ValueError):
         two_stage_select(A, np.zeros((5, 3)))
+
+
+def test_two_stage_rejects_bad_lasso_grid():
+    # a negative penalty used to select every feature, an empty grid to
+    # die on unpacking, and a NaN penalty to select nothing
+    A = _uniform_network(5, 2)
+    X = np.random.default_rng(9).uniform(-1, 1, size=(5, 3))
+    for grid in ([-0.1], [0.1, -1.0], [], [math.nan], [math.inf]):
+        with pytest.raises(ValueError, match="lasso_grid"):
+            two_stage_select(A, X, lasso_grid=grid)
+    two_stage_select(A, X, lasso_grid=[0.0, 0.1])

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from hetnet import (
-    AttributionReport,
     Rng,
     forward_batch,
     init_net,
-    rank_features,
     shapley_importance,
 )
+from hetnet.importance import _ranks
 from hetnet.optimizer import _prox_net
 
 
@@ -158,37 +157,30 @@ def test_determinism_and_node_subsampling():
     assert full.node_indices.size == 30
 
 
-# ------------------------------------------------------------ rank_features
+# ------------------------------------------------------------------ ranks
+
+def _best_first(features, rank) -> list[int]:
+    return [f for _, f in sorted(zip(rank.tolist(), features))]
+
 
 def test_rank_features_ordering():
-    report = AttributionReport(
-        side="alpha", features=(2, 5, 9), feature_names=("x2", "x5", "x9"),
-        mean_abs=np.array([0.5, 0.2, 0.9]), stderr=np.zeros(3),
-        rank=np.array([2, 3, 1]), samples=10, seed=0,
-        node_indices=np.arange(1), node_values=np.zeros((1, 3)),
-        node_stderrs=np.zeros((1, 3)),
-    )
-    assert rank_features(report) == [9, 2, 5]
+    rank = _ranks(np.array([0.5, 0.2, 0.9]), (2, 5, 9))
+    assert rank.tolist() == [2, 3, 1]
+    assert _best_first((2, 5, 9), rank) == [9, 2, 5]
 
 
 def test_rank_features_tie_break_by_index():
-    report = AttributionReport(
-        side="beta", features=(3, 1, 7), feature_names=("a", "b", "c"),
-        mean_abs=np.array([0.4, 0.4, 0.4]), stderr=np.zeros(3),
-        rank=np.array([2, 1, 3]), samples=10, seed=0,
-        node_indices=np.arange(1), node_values=np.zeros((1, 3)),
-        node_stderrs=np.zeros((1, 3)),
-    )
-    assert rank_features(report) == [1, 3, 7]
+    rank = _ranks(np.array([0.4, 0.4, 0.4]), (3, 1, 7))
+    assert rank.tolist() == [2, 1, 3]
+    assert _best_first((3, 1, 7), rank) == [1, 3, 7]
 
 
 def test_rank_single_feature_and_report_ranks():
     net = _pure_skip_net(np.array([0.7, 1.5, -2.0]))
     X = np.random.default_rng(14).uniform(-1, 1, size=(10, 3))
     report = shapley_importance(net, X, [1], samples=10, seed=4)
-    assert rank_features(report) == [1]
     assert list(report.rank) == [1]
     full = shapley_importance(net, X, [0, 1, 2], samples=50, seed=4)
     # |theta| ordering: feature 2 strongest, then 1, then 0
-    assert rank_features(full) == [2, 1, 0]
-    assert sorted(full.rank.tolist()) == [1, 2, 3]
+    assert full.rank.tolist() == [3, 2, 1]
+    assert _best_first(full.features, full.rank) == [2, 1, 0]

@@ -226,6 +226,28 @@ def test_update_side_unrecoverable_step_raises():
         update_side("alpha", net, X, A, np.zeros(5), 0.0, 0.0, 1e30, 1.0, 1.0, 5)
 
 
+def test_update_side_small_increase_that_does_not_shrink_stops(monkeypatch):
+    # near a minimiser, a fixed nudge to theta after every prox raises the
+    # composite by an amount no halving of rho can shrink: about 7e-5 of
+    # the composite here, inside the 1e-3 fixed-point band, so the update
+    # stops early instead of raising
+    A, X = _random_instance(10, 8)
+    fixed = np.zeros(8)
+    net = init_net(3, (), Rng(6))
+    _, net, _ = update_side("alpha", net, X, A, fixed, 0.0, 0.2, 0.05, 1.0, 1.0, 3000)
+    real_prox = optimizer_mod.hierarchical_prox
+
+    def nudged(w1, theta, tau, M):
+        w1_new, theta_new = real_prox(w1, theta, tau, M)
+        return w1_new, theta_new + 0.01
+
+    monkeypatch.setattr(optimizer_mod, "hierarchical_prox", nudged)
+    _, net_out, trace = update_side("alpha", net, X, A, fixed, 0.0, 0.2, 0.05,
+                                    1.0, 1.0, 50)
+    assert len(trace) - 1 < 50
+    assert _nets_equal(net_out, net)
+
+
 def test_update_side_broken_hierarchy_raises(monkeypatch):
     # with the prox disabled nothing restores ||W_k|| <= M|theta_k|; the
     # check is an explicit raise, so it also holds under python -O

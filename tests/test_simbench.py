@@ -11,7 +11,6 @@ from hetnet import (
     gen_attributes,
     linear_truth,
     nonlinear_truth,
-    register_method,
     rmse,
     run_replications,
     sample_network,
@@ -284,16 +283,12 @@ def test_replications_mle_has_no_selection_rows():
     assert raw.precision is None and raw.tpr is None and raw.f1 is None
 
 
-def test_replications_record_method_failures():
+def test_replications_record_method_failures(monkeypatch):
     def boom(A, X, config, seed, truth):
         raise RuntimeError("synthetic failure")
 
-    register_method("boom", boom)
-    try:
-        report = run_replications("linear", 10, 10, 2, ["boom", "oracle"],
-                                  base_seed=5)
-    finally:
-        del _METHOD_REGISTRY["boom"]
+    monkeypatch.setitem(_METHOD_REGISTRY, "boom", boom)
+    report = run_replications("linear", 10, 10, 2, ["boom", "oracle"], base_seed=5)
     assert report.failures["boom"] == 2
     assert report.failures["oracle"] == 0
     assert len(report.failure_log) == 2
@@ -305,15 +300,12 @@ def test_replications_record_method_failures():
     assert ("boom", "alpha", "rmse") not in by
 
 
-def test_replications_custom_method_and_registry():
+def test_replications_custom_method_and_registry(monkeypatch):
     def constant(A, X, config, seed, truth):
         return MethodResult(np.zeros(A.n), np.zeros(A.n), {0}, {5})
 
-    register_method("constant", constant)
-    try:
-        report = run_replications("linear", 10, 10, 1, ["constant"], base_seed=2)
-    finally:
-        del _METHOD_REGISTRY["constant"]
+    monkeypatch.setitem(_METHOD_REGISTRY, "constant", constant)
+    report = run_replications("linear", 10, 10, 1, ["constant"], base_seed=2)
     by = {(r.side, r.metric): r for r in report.rows}
     assert by[("alpha", "precision")].mean == 1.0
     assert by[("alpha", "tpr")].mean == pytest.approx(0.2)
