@@ -120,14 +120,6 @@ def mle_fit(A: CountNetwork, z_n: float = 1.0, max_iter: int = 10000,
     )
 
 
-def _soft(x: float, t: float) -> float:
-    if x > t:
-        return x - t
-    if x < -t:
-        return x + t
-    return 0.0
-
-
 def _standardize(x2d: np.ndarray):
     mean = x2d.mean(axis=0)
     sd = x2d.std(axis=0)
@@ -143,37 +135,46 @@ def _cd_path_step(xs, live, lam, beta, r, max_iter, tol, n):
 
     Full sweeps alternate with sweeps over the current active set, the
     usual pathwise speedup; each coordinate update is an exact 1-d
-    minimization so the objective never increases.
+    minimization so the objective never increases.  While the sweeps run
+    the coefficients are Python floats and the column views are made
+    once: both round exactly as the float64 array entries would, without
+    the per-coordinate numpy scalar and slicing overhead.
     """
-    live_idx = np.nonzero(live)[0]
+    live_idx = np.nonzero(live)[0].tolist()
+    cols = [xs[:, j] for j in range(xs.shape[1])]
+    coef = beta.tolist()
+    step_col = np.empty_like(r)
 
     def sweep(indices) -> float:
-        nonlocal r
         worst = 0.0
         for j in indices:
-            old = beta[j]
-            col = xs[:, j]
-            rho_j = old + (col @ r) / n
-            new = _soft(rho_j, lam)
+            old = coef[j]
+            col = cols[j]
+            # soft-threshold the coordinate's least-squares value at lam
+            z = old + float(np.dot(col, r)) / n
+            new = z - lam if z > lam else (z + lam if z < -lam else 0.0)
             if new != old:
-                r -= (new - old) * col
-                beta[j] = new
-                worst = max(worst, abs(new - old))
+                step = new - old
+                np.multiply(step, col, out=step_col)
+                np.subtract(r, step_col, out=r)
+                coef[j] = new
+                if abs(step) > worst:
+                    worst = abs(step)
         return worst
 
+    converged = False
     sweeps = 0
-    while sweeps < max_iter:
+    while sweeps < max_iter and not converged:
         worst = sweep(live_idx)
         sweeps += 1
-        if worst < tol:
-            return True
-        while sweeps < max_iter:
-            active = np.nonzero(beta)[0]
-            worst = sweep(active)
+        converged = worst < tol
+        while sweeps < max_iter and not converged:
+            worst = sweep([j for j, v in enumerate(coef) if v != 0.0])
             sweeps += 1
             if worst < tol:
                 break
-    return False
+    beta[:] = coef
+    return converged
 
 
 def _regression_hbic(rss: float, s: int, n: int, p: int) -> float:

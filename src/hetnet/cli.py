@@ -239,6 +239,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_importance(args) -> int:
+    if args.samples < 1:
+        raise UsageError(f"--samples must be >= 1, got {args.samples}")
     model_path = _require_file(args.model, "model")
     xmat = load_attributes(_require_file(args.attributes, "attributes"))
     try:

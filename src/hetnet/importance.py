@@ -6,6 +6,20 @@ Permutation sampling walks one random reveal order per sample; the
 telescoping differences are unbiased Shapley estimates for that value
 function.  Features outside the net's selected set have exactly zero
 attribution because the net is constant in those coordinates.
+
+The samples of a node are evaluated in blocks, with the results bit for
+bit those of one sample at a time.  The node's S*(q-1) uniforms come
+from one :meth:`Rng.uniforms` call, in the sample-major order a scalar
+stream would consume them, and Fisher-Yates runs on all S reveal
+orders at once.  The reveal states of a chunk of samples go into one
+buffer of about 256 KB, whatever q and p are: it holds whole samples of
+q+1 rows each, starts at the baseline, and only the ``features`` columns
+are rewritten per chunk.  One ``forward_batch`` call per chunk evaluates
+them; its einsum forward makes row i of a batch equal to the one-row
+batch, so chunking does not change any output.  The per-sample
+increments are then added into the running sums one sample at a time,
+in sample order, because a vectorised or pairwise sum over samples
+would round differently.
 """
 
 from __future__ import annotations
@@ -55,11 +69,24 @@ def _ranks(mean_abs: np.ndarray, features) -> np.ndarray:
     return rank
 
 
-def _shuffled(q: int, rng: Rng) -> np.ndarray:
-    perm = np.arange(q)
-    for t in range(q - 1, 0, -1):
-        j = min(int(rng.uniform() * (t + 1)), t)
-        perm[t], perm[j] = perm[j], perm[t]
+# size of the reveal-state buffer: the rows of one forward_batch call
+_BUFFER_BYTES = 256 * 1024
+
+
+def _reveal_orders(samples: int, q: int, rng: Rng) -> np.ndarray:
+    """(samples, q) Fisher-Yates permutations of range(q), one per row.
+
+    Row s is the permutation a scalar shuffle of sample s would make:
+    step t = q-1, ..., 1 swaps slot t with slot min(floor(u*(t+1)), t).
+    """
+    u = rng.uniforms(samples * (q - 1)).reshape(samples, q - 1)
+    perm = np.tile(np.arange(q), (samples, 1))
+    rows = np.arange(samples)
+    for c, t in enumerate(range(q - 1, 0, -1)):
+        j = np.minimum((u[:, c] * (t + 1)).astype(np.int64), t)
+        slot_t = perm[:, t].copy()
+        perm[:, t] = perm[rows, j]
+        perm[rows, j] = slot_t
     return perm
 
 
@@ -75,6 +102,10 @@ def shapley_importance(net: SkipLayerNet, X, features, samples: int, seed: int,
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if max_nodes < 1:
+        raise ValueError("max_nodes must be >= 1")
+    if side not in ("alpha", "beta"):
+        raise ValueError(f"side must be 'alpha' or 'beta', got {side!r}")
     xmat = X if isinstance(X, AttributeMatrix) else AttributeMatrix(np.asarray(X))
     if xmat.p != net.p:
         raise ValueError(f"attributes have {xmat.p} columns, net expects {net.p}")
@@ -99,27 +130,32 @@ def shapley_importance(net: SkipLayerNet, X, features, samples: int, seed: int,
         node_indices = np.arange(n)
 
     feats_arr = np.asarray(feats)
+    base_f = baseline[feats_arr]
+    # state r of a sample shows feature slot s at the node's value once r
+    # exceeds the slot's position in the reveal order
+    steps = np.arange(q + 1)[np.newaxis, :, np.newaxis]
+    chunk = max(q + 1, _BUFFER_BYTES // (8 * net.p)) // (q + 1)
+    buf = np.empty((min(chunk, samples), q + 1, net.p))
+    buf[:] = baseline
+    diffs = np.empty((len(buf), q))
     node_values = np.empty((node_indices.size, q))
     node_stderrs = np.empty((node_indices.size, q))
-    states = np.empty((q + 1, net.p))
     for row, node in enumerate(node_indices.tolist()):
         rng = Rng(seed_for(f"node-{node}", seed))
-        x = x2d[node]
+        x_f = x2d[node, feats_arr]
+        perm = _reveal_orders(samples, q, rng)
         sums = np.zeros(q)
         sumsq = np.zeros(q)
-        for _ in range(samples):
-            perm = _shuffled(q, rng)
-            states[0] = baseline
-            z = states[0]
-            for t, slot in enumerate(perm.tolist()):
-                k = feats_arr[slot]
-                states[t + 1] = z
-                states[t + 1, k] = x[k]
-                z = states[t + 1]
-            outs = forward_batch(net, states)
-            d = np.diff(outs)
-            sums[perm] += d
-            sumsq[perm] += d * d
+        for lo in range(0, samples, chunk):
+            order = perm[lo:lo + chunk]
+            m = len(order)
+            position = np.argsort(order, axis=1)[:, np.newaxis, :]
+            buf[:m, :, feats_arr] = np.where(steps > position, x_f, base_f)
+            outs = forward_batch(net, buf[:m].reshape(-1, net.p)).reshape(m, q + 1)
+            np.put_along_axis(diffs[:m], order, np.diff(outs, axis=1), axis=1)
+            for d in diffs[:m]:
+                sums += d
+                sumsq += d * d
         mean = sums / samples
         if samples > 1:
             var = np.maximum(sumsq - samples * mean * mean, 0.0) / (samples - 1)

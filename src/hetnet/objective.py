@@ -9,7 +9,8 @@ h_j = exp(g_j/z) reduces the exponential term to S_f*S_g - sum_i e_i h_i
 (the subtraction removes diagonal pairs), and the linear term needs only
 node degrees since A_ij = 0 off the edge list.  No O(n^2) pass is ever
 taken.  One kernel computes the loss and one side's per-node gradient
-together, so the exponentials are evaluated once per call.
+together, so the varying side's exponentials are evaluated once per call
+and the fixed side's once per side update.
 """
 
 from __future__ import annotations
@@ -58,30 +59,59 @@ def _check_values(vals, net: CountNetwork, z_n: float) -> np.ndarray:
     return v
 
 
+class _SideLoss:
+    """The loss kernel as a function of one side, the other held fixed.
+
+    ``side`` names the side that varies ('alpha': f, 'beta': g).  The
+    fixed side's exponentials, their sum, its scaled maximum and its
+    degree product are taken once here, since a side update evaluates
+    many trial values against the same frozen side.  Each call returns
+    (loss, gradient w.r.t. the varying side) bit for bit as evaluating
+    everything afresh would: every operation has the same operands, at
+    most swapped in a product or a two-term sum, which commute exactly in
+    IEEE arithmetic.  Inputs are not validated (callers pass finite
+    float64 vectors of length n and a positive z_n).  Past the overflow
+    limit a call returns (inf, None) and does not raise.
+    """
+
+    def __init__(self, fixed: np.ndarray, net: CountNetwork, z_n: float, side: str):
+        if side not in ("alpha", "beta"):
+            raise ValueError(f"side must be 'alpha' or 'beta', got {side!r}")
+        own, other = ((net.out_degree, net.in_degree) if side == "alpha"
+                      else (net.in_degree, net.out_degree))
+        self.z_n = z_n
+        # int64 degrees are exact in float64; casting once spares the
+        # per-call conversion inside the dot product and the gradient
+        self.degree = own.astype(np.float64)
+        self.fixed_top = fixed.max() / z_n
+        # an overflow here (fixed/z > 709) is reported by the calls: they
+        # stop at the overflow limit or see the inf
+        with np.errstate(over="ignore"):
+            self.fixed_exp = np.exp(fixed / z_n)
+        self.fixed_sum = self.fixed_exp.sum()
+        self.fixed_linear = other @ fixed
+
+    def __call__(self, vals: np.ndarray):
+        z_n = self.z_n
+        if vals.max() / z_n + self.fixed_top > _EXP_LIMIT:
+            return np.inf, None
+        e = np.exp(vals / z_n)
+        expo = e.sum() * self.fixed_sum - e @ self.fixed_exp
+        linear = (self.degree @ vals + self.fixed_linear) / z_n
+        grad = (e * (self.fixed_sum - self.fixed_exp) - self.degree) / z_n
+        return float(expo - linear), grad
+
+
 def _nll_and_grad(f: np.ndarray, g: np.ndarray, net: CountNetwork, z_n: float,
                   side: str):
     """Poisson loss and its gradient w.r.t. f (side='alpha') or g ('beta').
 
-    The one loss kernel: exp(f/z) and exp(g/z) are taken once and serve
-    both the value and the gradient.  Inputs are not validated (callers
-    pass finite float64 vectors of length n and a positive z_n).  Past
-    the overflow limit it returns (inf, None) and does not raise.
+    The one loss kernel, :class:`_SideLoss`, evaluated once.  Inputs are
+    not validated; past the overflow limit it returns (inf, None).
     """
-    if side not in ("alpha", "beta"):
-        raise ValueError(f"side must be 'alpha' or 'beta', got {side!r}")
-    if f.max() / z_n + g.max() / z_n > _EXP_LIMIT:
-        return np.inf, None
-    e = np.exp(f / z_n)
-    h = np.exp(g / z_n)
-    e_sum = e.sum()
-    h_sum = h.sum()
-    expo = e_sum * h_sum - e @ h
-    linear = (net.out_degree @ f + net.in_degree @ g) / z_n
-    if side == "alpha":
-        grad = (e * (h_sum - h) - net.out_degree) / z_n
-    else:
-        grad = (h * (e_sum - e) - net.in_degree) / z_n
-    return float(expo - linear), grad
+    if side == "beta":
+        return _SideLoss(f, net, z_n, side)(g)
+    return _SideLoss(g, net, z_n, side)(f)
 
 
 def poisson_nll(f_vals, g_vals, net: CountNetwork, z_n: float = 1.0) -> float:

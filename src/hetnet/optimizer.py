@@ -29,7 +29,7 @@ from .objective import (
     identifiability_penalty,
     l1_penalty,
     _check_values,
-    _nll_and_grad,
+    _SideLoss,
 )
 from .rng import Rng
 from .skipnet import (
@@ -233,14 +233,13 @@ def update_side(
     # is undone by putting the saved references back
     net = net.copy()
 
+    side_loss = _SideLoss(fixed, A, z_n, side)
+
     def loss_and_upstream(vals: np.ndarray):
         """Smooth loss and its gradient w.r.t. the fitted values."""
         if not np.all(np.isfinite(vals)):
             return np.inf, None
-        if side == "alpha":
-            nll, d_nll = _nll_and_grad(vals, fixed, A, z_n, side)
-        else:
-            nll, d_nll = _nll_and_grad(fixed, vals, A, z_n, side)
+        nll, d_nll = side_loss(vals)
         if not np.isfinite(nll):
             return np.inf, None
         ident, d_ident = identifiability_penalty(vals, target_sum, gamma)

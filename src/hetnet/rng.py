@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 # SplitMix64 constants (Steele, Lea & Flood's mixer, as used in Java 8's
 # SplittableRandom and xoshiro seeding).
@@ -67,12 +69,57 @@ class Rng:
         """Uniform double in [0, 1) using the top 53 bits."""
         return (self.next_u64() >> 11) * (1.0 / 9007199254740992.0)
 
+    def uniforms(self, k: int) -> np.ndarray:
+        """The next k :meth:`uniform` values, bit for bit, as one array.
+
+        SplitMix64 is a counter mixer: the i-th next output is the mix of
+        state + i*GOLDEN, so all k are computed at once in uint64 (which
+        wraps mod 2**64 like the scalar masks) and the state advances by k.
+        The arithmetic is in place because a Shapley node draws
+        samples*(q-1) values in one call.
+        """
+        z = np.arange(1, k + 1, dtype=np.uint64)
+        z *= np.uint64(_GOLDEN)
+        z += np.uint64(self._state)
+        self._state = (self._state + k * _GOLDEN) & _MASK64
+        for shift, mult in ((30, _MIX1), (27, _MIX2)):
+            z ^= z >> np.uint64(shift)
+            z *= np.uint64(mult)
+        z ^= z >> np.uint64(31)
+        z >>= np.uint64(11)
+        u = z.astype(np.float64)
+        u *= 1.0 / 9007199254740992.0
+        return u
+
     def uniform_signed(self) -> float:
         """Uniform double in (-1, 1); exact zero is redrawn."""
         while True:
             u = 2.0 * self.uniform() - 1.0
             if u != 0.0:
                 return u
+
+    def uniforms_signed(self, k: int, guard: int = 0, min_abs: float = 0.0) -> np.ndarray:
+        """k draws of :meth:`uniform_signed`, bit for bit, as one array.
+
+        Each of the first ``guard`` entries is also redrawn while its
+        magnitude is below ``min_abs``.  The draws come from one
+        :meth:`uniforms` block; at the first entry that needs a redraw the
+        state is rewound to just before it and the rest of the row is drawn
+        one value at a time, so the stream is consumed exactly as by k
+        scalar calls.
+        """
+        v = 2.0 * self.uniforms(k) - 1.0
+        redraw = (v == 0.0) | ((np.arange(k) < guard) & (np.abs(v) < min_abs))
+        if redraw.any():
+            first = int(redraw.argmax())
+            self._state = (self._state - (k - first) * _GOLDEN) & _MASK64
+            for j in range(first, k):
+                u = self.uniform_signed()
+                if j < guard:
+                    while abs(u) < min_abs:
+                        u = self.uniform_signed()
+                v[j] = u
+        return v
 
     def poisson(self, lam: float) -> int:
         if lam < 0.0 or not math.isfinite(lam):

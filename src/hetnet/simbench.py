@@ -75,12 +75,7 @@ def gen_attributes(n: int, p: int, seed: int, guard_cols: int = 0,
     rng = Rng(seed)
     values = np.empty((n, p))
     for i in range(n):
-        for j in range(p):
-            v = rng.uniform_signed()
-            if j < guard_cols:
-                while abs(v) < min_abs:
-                    v = rng.uniform_signed()
-            values[i, j] = v
+        values[i] = rng.uniforms_signed(p, guard_cols, min_abs)
     return AttributeMatrix(values)
 
 

@@ -161,13 +161,10 @@ def init_net(p: int, hidden_widths, rng: Rng, theta_scale: float = 0.1) -> SkipL
     d_in = p
     for d_out in widths:
         a = np.sqrt(6.0 / (d_in + d_out))
-        w = np.empty((d_out, d_in))
-        for i in range(d_out):
-            for j in range(d_in):
-                w[i, j] = a * rng.uniform_signed()
+        w = a * rng.uniforms_signed(d_out * d_in).reshape(d_out, d_in)
         layers.append(Layer(w, np.zeros(d_out)))
         d_in = d_out
-    theta = np.array([theta_scale * rng.uniform_signed() for _ in range(p)])
+    theta = theta_scale * rng.uniforms_signed(p)
     return SkipLayerNet(p, theta, layers)
 
 

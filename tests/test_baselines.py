@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hetnet import CountNetwork, mle_fit, two_stage_select
-from hetnet.baselines import _lasso_stage
+from hetnet.baselines import _cd_path_step, _lasso_stage, _standardize
 
 
 def _uniform_network(n: int, c: int) -> CountNetwork:
@@ -222,6 +222,59 @@ def test_lasso_constant_column_gets_zero():
     y = rng.normal(size=20)
     selected, _ = _lasso(X, y, 0.05)
     assert 0 not in selected
+
+
+def _reference_cd_path_step(xs, live, lam, beta, r, max_iter, tol, n):
+    """Coordinate descent on float64 array entries, one numpy scalar at a
+    time: the reference the solver must match bit for bit."""
+
+    def soft(x, t):
+        return x - t if x > t else (x + t if x < -t else 0.0)
+
+    def sweep(indices):
+        worst = 0.0
+        for j in indices:
+            old = beta[j]
+            col = xs[:, j]
+            new = soft(old + (col @ r) / n, lam)
+            if new != old:
+                r[:] = r - (new - old) * col
+                beta[j] = new
+                worst = max(worst, abs(new - old))
+        return worst
+
+    sweeps = 0
+    while sweeps < max_iter:
+        worst = sweep(np.nonzero(live)[0])
+        sweeps += 1
+        if worst < tol:
+            return True
+        while sweeps < max_iter:
+            worst = sweep(np.nonzero(beta)[0])
+            sweeps += 1
+            if worst < tol:
+                break
+    return False
+
+
+@pytest.mark.parametrize("n, p, max_iter", [(30, 12, 1000), (20, 45, 25)])
+def test_cd_path_matches_reference_bit_for_bit(n, p, max_iter):
+    # p > n with a short sweep budget leaves the small penalties unconverged
+    rng = np.random.default_rng(n + p)
+    X = rng.normal(size=(n, p))
+    X[:, 3] = 1.0  # a constant column stays out of every sweep
+    y = X[:, :4] @ np.array([1.5, -2.0, 0.0, 0.7]) + rng.normal(size=n)
+    xs, live = _standardize(X)
+    lam_max = float(np.abs(xs.T @ (y - y.mean())).max()) / n
+    beta, r = np.zeros(p), y - y.mean()
+    ref_beta, ref_r = beta.copy(), r.copy()
+    for lam in np.geomspace(lam_max, 1e-3 * lam_max, 8):
+        got = _cd_path_step(xs, live, lam, beta, r, max_iter, 1e-9, n)
+        want = _reference_cd_path_step(xs, live, lam, ref_beta, ref_r,
+                                       max_iter, 1e-9, n)
+        assert got == want
+        assert np.array_equal(beta, ref_beta)
+        assert np.array_equal(r, ref_r)
 
 
 # --------------------------------------------------------- two_stage_select

@@ -276,6 +276,18 @@ def test_importance_single_sample_reports_inf_stderr(dataset, fitted, tmp_path):
         assert all(line.split(",")[4] == "inf" for line in lines[1:])
 
 
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_importance_rejects_nonpositive_samples_before_writing(dataset, fitted, tmp_path,
+                                                              capsys, samples):
+    out = tmp_path / "out"
+    rc = main(["importance", "--model", str(fitted / "model_alpha.json"),
+               "--attributes", str(dataset / "attributes.csv"),
+               "--samples", samples, "--seed", "1", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: --samples")
+    assert not out.exists()
+
+
 def test_importance_dimension_mismatch_exits_2(fitted, tmp_path, capsys):
     bad = tmp_path / "attributes.csv"
     bad.write_text("x1,x2\n0.1,0.2\n0.3,0.4\n")

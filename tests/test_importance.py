@@ -7,8 +7,9 @@ from hetnet import (
     init_net,
     shapley_importance,
 )
-from hetnet.importance import _ranks
+from hetnet.importance import _BUFFER_BYTES, _ranks
 from hetnet.optimizer import _prox_net
+from hetnet.rng import seed_for
 
 
 def _pure_skip_net(theta: np.ndarray, bias: float = 0.0):
@@ -138,6 +139,11 @@ def test_feature_handling_and_validation():
         shapley_importance(net, X, [0], samples=0, seed=1)
     with pytest.raises(ValueError):
         shapley_importance(net, np.zeros((4, 2)), [0], samples=10, seed=1)
+    for max_nodes in (0, -3):
+        with pytest.raises(ValueError, match="max_nodes"):
+            shapley_importance(net, X, [0], samples=10, seed=1, max_nodes=max_nodes)
+    with pytest.raises(ValueError, match="side"):
+        shapley_importance(net, X, [0], samples=10, seed=1, side="gamma")
     # duplicate and unsorted features are canonicalized
     report = shapley_importance(net, X, [2, 0, 2], samples=2, seed=1)
     assert report.features == (0, 2)
@@ -155,6 +161,78 @@ def test_determinism_and_node_subsampling():
     assert np.all(np.diff(a.node_indices) > 0)
     full = shapley_importance(net, X, range(4), samples=20, seed=5)
     assert full.node_indices.size == 30
+
+
+# --------------------------------------------- golden: one sample at a time
+
+def _shuffled(q, rng):
+    perm = np.arange(q)
+    for t in range(q - 1, 0, -1):
+        j = min(int(rng.uniform() * (t + 1)), t)
+        perm[t], perm[j] = perm[j], perm[t]
+    return perm
+
+
+def _reference_node_values(net, x2d, feats, samples, seed, node_indices):
+    """The per-sample Shapley loop the block version must reproduce bit for bit."""
+    q = len(feats)
+    baseline = x2d.mean(axis=0)
+    feats_arr = np.asarray(feats)
+    node_values = np.empty((node_indices.size, q))
+    node_stderrs = np.empty((node_indices.size, q))
+    states = np.empty((q + 1, net.p))
+    for row, node in enumerate(node_indices.tolist()):
+        rng = Rng(seed_for(f"node-{node}", seed))
+        x = x2d[node]
+        sums = np.zeros(q)
+        sumsq = np.zeros(q)
+        for _ in range(samples):
+            perm = _shuffled(q, rng)
+            states[0] = baseline
+            z = states[0]
+            for t, slot in enumerate(perm.tolist()):
+                k = feats_arr[slot]
+                states[t + 1] = z
+                states[t + 1, k] = x[k]
+                z = states[t + 1]
+            outs = forward_batch(net, states)
+            d = np.diff(outs)
+            sums[perm] += d
+            sumsq[perm] += d * d
+        mean = sums / samples
+        if samples > 1:
+            var = np.maximum(sumsq - samples * mean * mean, 0.0) / (samples - 1)
+            se = np.sqrt(var / samples)
+        else:
+            se = np.full(q, np.inf)
+        node_values[row] = mean
+        node_stderrs[row] = se
+    return node_values, node_stderrs
+
+
+# chunk is the number of samples per forward_batch call: rows of about
+# 256 KB of reveal states, max(q+1, 32768 // p), in whole samples of q+1
+@pytest.mark.parametrize("hidden, p, feats, samples, n, max_nodes, chunk", [
+    ((8, 4), 40, range(0, 40, 2), 57, 12, 500, 39),   # a full chunk, then a partial one
+    ((), 30, range(30), 45, 10, 500, 35),             # no hidden layers
+    ((8, 4), 12, [5], 9, 8, 500, 1365),               # q=1: no uniforms are drawn
+    ((8, 4), 20, range(3, 17), 1, 9, 500, 109),       # samples=1
+    ((5, 3), 10, range(10), 23, 40, 7, 297),          # n > max_nodes subsample path
+    ((4,), 600, range(0, 600, 12), 3, 4, 500, 1),     # p so wide a chunk is one sample
+])
+def test_block_shapley_matches_per_sample_loop(hidden, p, feats, samples, n, max_nodes,
+                                               chunk):
+    feats = list(feats)
+    net = init_net(p, hidden, Rng(17))
+    X = np.random.default_rng(p).uniform(-1, 1, size=(n, p))
+    assert max(len(feats) + 1, _BUFFER_BYTES // (8 * p)) // (len(feats) + 1) == chunk
+    report = shapley_importance(net, X, feats, samples=samples, seed=23,
+                                max_nodes=max_nodes)
+    want_values, want_stderrs = _reference_node_values(
+        net, X, feats, samples, 23, report.node_indices)
+    assert report.node_indices.size == min(n, max_nodes)
+    assert np.array_equal(report.node_values, want_values)
+    assert np.array_equal(report.node_stderrs, want_stderrs)
 
 
 # ------------------------------------------------------------------ ranks

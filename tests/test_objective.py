@@ -11,7 +11,7 @@ from hetnet import (
     l1_penalty,
     poisson_nll,
 )
-from hetnet.objective import _EXP_LIMIT, _nll_and_grad
+from hetnet.objective import _EXP_LIMIT, _SideLoss, _nll_and_grad
 
 
 def _naive_nll(f, g, A: np.ndarray, z: float) -> float:
@@ -227,6 +227,43 @@ def test_kernel_gradient_matches_naive_double_sum(inst):
         naive = math.fsum(terms)
         scale = max(1.0, math.fsum(abs(t) for t in terms))
         assert abs(grad[i] - naive) <= 1e-10 * scale
+
+
+def _fresh_kernel(f, g, net, z_n, side):
+    """Both sides evaluated afresh on every call: the reference that a
+    kernel holding one side fixed must match bit for bit."""
+    if f.max() / z_n + g.max() / z_n > _EXP_LIMIT:
+        return np.inf, None
+    e = np.exp(f / z_n)
+    h = np.exp(g / z_n)
+    e_sum = e.sum()
+    h_sum = h.sum()
+    expo = e_sum * h_sum - e @ h
+    linear = (net.out_degree @ f + net.in_degree @ g) / z_n
+    if side == "alpha":
+        grad = (e * (h_sum - h) - net.out_degree) / z_n
+    else:
+        grad = (h * (e_sum - e) - net.in_degree) / z_n
+    return float(expo - linear), grad
+
+
+@settings(max_examples=100, deadline=None)
+@given(_kernel_instances(), st.integers(0, 2 ** 32 - 1))
+def test_side_loss_reused_equals_fresh_evaluation(inst, seed):
+    # a side update evaluates many trial vectors against one frozen side
+    net, f, g, z, side = inst
+    fixed = g if side == "alpha" else f
+    side_loss = _SideLoss(fixed, net, z, side)
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        vals = rng.uniform(-3.0, 3.0, size=net.n)
+        got_value, got_grad = side_loss(vals)
+        if side == "alpha":
+            want_value, want_grad = _fresh_kernel(vals, fixed, net, z, side)
+        else:
+            want_value, want_grad = _fresh_kernel(fixed, vals, net, z, side)
+        assert got_value == want_value
+        assert np.array_equal(got_grad, want_grad)
 
 
 @settings(max_examples=100, deadline=None)

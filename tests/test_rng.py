@@ -1,6 +1,8 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from hetnet import Rng, derive_seed, seed_for
@@ -47,6 +49,29 @@ def test_uniform_signed_mean_near_zero():
     n = 100_000
     mean = sum(rng.uniform_signed() for _ in range(n)) / n
     assert abs(mean) < 5.0 * math.sqrt(1.0 / 3.0 / n)
+
+
+def _assert_block_matches_scalar(seed: int, k: int) -> None:
+    block, scalar = Rng(seed), Rng(seed)
+    got = block.uniforms(k)
+    want = np.array([scalar.uniform() for _ in range(k)], dtype=np.float64)
+    assert got.shape == (k,) and got.dtype == np.float64
+    assert np.array_equal(got, want)
+    # both streams continue from the same state
+    assert block.next_u64() == scalar.next_u64()
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+@pytest.mark.parametrize("k", [0, 1, 10_000])
+def test_uniforms_block_equals_scalar_draws(seed, k):
+    _assert_block_matches_scalar(seed, k)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 64 - 1),
+       k=st.sampled_from([0, 1, 10_000]))
+def test_uniforms_block_equals_scalar_draws_any_seed(seed, k):
+    _assert_block_matches_scalar(seed, k)
 
 
 def test_poisson_rate_zero():

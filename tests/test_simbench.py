@@ -18,6 +18,7 @@ from hetnet import (
     write_metrics_csv,
     write_raw_csv,
 )
+from hetnet.rng import Rng
 from hetnet.simbench import _METHOD_REGISTRY, MethodResult
 
 
@@ -48,6 +49,59 @@ def test_attributes_guard_columns_avoid_zero():
     assert np.all(np.abs(xmat.values[:, :10]) >= 0.3)
     # ungated columns keep the full support
     assert np.abs(xmat.values[:, 10:]).min() < 0.3
+
+
+def _scalar_attributes(n, p, seed, guard_cols=0, min_abs=1e-6):
+    """Entry-at-a-time reference for gen_attributes' stream consumption."""
+    rng = Rng(seed)
+    values = np.empty((n, p))
+    for i in range(n):
+        for j in range(p):
+            v = rng.uniform_signed()
+            if j < guard_cols:
+                while abs(v) < min_abs:
+                    v = rng.uniform_signed()
+            values[i, j] = v
+    return values
+
+
+_M64 = 2 ** 64 - 1
+
+
+def _unxorshift(z: int, shift: int) -> int:
+    y = z
+    for _ in range(64 // shift + 1):
+        y = z ^ (y >> shift)
+    return y
+
+
+def _seed_with_zero_draw(index: int) -> int:
+    """A seed whose index-th uniform() is exactly 0.5, so 2u-1 == 0.0.
+
+    Runs the SplitMix64 finaliser backwards from the output 2**63, whose
+    top 53 bits are 2**52, to the state that produces it.
+    """
+    golden, mix1, mix2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+    z = _unxorshift(1 << 63, 31)
+    z = _unxorshift((z * pow(mix2, -1, 2 ** 64)) & _M64, 27)
+    z = _unxorshift((z * pow(mix1, -1, 2 ** 64)) & _M64, 30)
+    return (z - (index + 1) * golden) & _M64
+
+
+@pytest.mark.parametrize("n, p, seed, guard_cols, min_abs", [
+    (40, 9, 5, 3, 0.5),                       # half the guard draws are redrawn
+    (30, 14, 8, 10, 1e-6),                    # the nonlinear design's guard
+    (3, 7, _seed_with_zero_draw(7 + 3), 0, 1e-6),  # exact zero at row 1, column 3
+    (2, 5, _seed_with_zero_draw(0), 2, 0.5),       # exact zero inside the guard
+])
+def test_attributes_block_draws_equal_scalar_draws(n, p, seed, guard_cols, min_abs):
+    got = gen_attributes(n, p, seed, guard_cols=guard_cols, min_abs=min_abs).values
+    assert np.array_equal(got, _scalar_attributes(n, p, seed, guard_cols, min_abs))
+
+
+def test_zero_draw_seed_forces_a_redraw():
+    rng = Rng(_seed_with_zero_draw(2))
+    assert [2.0 * rng.uniform() - 1.0 for _ in range(3)][2] == 0.0
 
 
 def test_attributes_validation():

@@ -148,6 +148,20 @@ def test_init_net_deterministic():
         assert np.array_equal(la.biases, lb.biases)
 
 
+@pytest.mark.parametrize("p, widths, seed", [(7, (5, 3), 1), (40, (), 2), (3, (8, 4), 2 ** 64 - 1)])
+def test_init_net_block_draws_equal_scalar_draws(p, widths, seed):
+    net = init_net(p, widths, Rng(seed))
+    rng = Rng(seed)
+    d_in = p
+    for layer, d_out in zip(net.layers, list(widths) + [1]):
+        a = np.sqrt(6.0 / (d_in + d_out))
+        want = [[a * rng.uniform_signed() for _ in range(d_in)] for _ in range(d_out)]
+        assert np.array_equal(layer.weights, np.array(want))
+        d_in = d_out
+    want_theta = [0.1 * rng.uniform_signed() for _ in range(p)]
+    assert np.array_equal(net.theta, np.array(want_theta))
+
+
 def test_init_net_structure():
     net = init_net(6, (5, 3), Rng(0))
     assert net.p == 6
