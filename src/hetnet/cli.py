@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -58,6 +59,11 @@ def _require_file(path: str, what: str) -> Path:
     return p
 
 
+def _check_zn(zn: float) -> None:
+    if not (math.isfinite(zn) and zn > 0):
+        raise UsageError(f"--zn must be finite and positive, got {zn}")
+
+
 def _out_dir(path: str) -> Path:
     p = Path(path)
     p.mkdir(parents=True, exist_ok=True)
@@ -92,12 +98,7 @@ def load_fit_config(path: Path) -> FitConfig:
     for key, value in obj.items():
         if key not in _CONFIG_KEYS:
             continue
-        if key in ("m", "M"):
-            kwargs["M"] = value
-        elif key in ("hidden_widths", "hidden_widths_beta"):
-            kwargs[key] = None if value is None else tuple(value)
-        else:
-            kwargs[key] = value
+        kwargs["M" if key == "m" else key] = value
     try:
         return FitConfig(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -105,7 +106,7 @@ def load_fit_config(path: Path) -> FitConfig:
 
 
 def load_grid(path: Path) -> list[tuple[float, float, float]]:
-    """grid.json: array of {lambda1, lambda2, M} (or "m") objects."""
+    """grid.json: array of {lambda1, lambda2, M} (or "m") objects, each checked by FitConfig."""
     obj = _read_json(path)
     if not isinstance(obj, list) or not obj:
         raise UsageError(f"{path}: grid must be a non-empty JSON array")
@@ -117,8 +118,11 @@ def load_grid(path: Path) -> list[tuple[float, float, float]]:
             lam1 = float(entry["lambda1"])
             lam2 = float(entry["lambda2"])
             m = float(entry["M"] if "M" in entry else entry["m"])
+            FitConfig(lambda1=lam1, lambda2=lam2, M=m)
         except KeyError as exc:
             raise UsageError(f"{path}: grid entry {i} missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"{path}: grid entry {i}: {exc}") from exc
         triples.append((lam1, lam2, m))
     return triples
 
@@ -167,6 +171,7 @@ def cmd_simulate(args) -> int:
         raise UsageError("p must be >= 10 (both designs use attribute columns 1..10)")
     if args.n < 2:
         raise UsageError("n must be >= 2")
+    _check_zn(args.zn)
     out = _out_dir(args.out)
     guard = 10 if args.setting == "nonlinear" else 0
     xmat = gen_attributes(args.n, args.p, seed_for("attributes", args.seed),
@@ -222,6 +227,7 @@ def cmd_evaluate(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         raise UsageError("--methods must name at least one method")
+    _check_zn(args.zn)
     config = (load_fit_config(_require_file(args.config, "config"))
               if args.config else FitConfig())
     out = _out_dir(args.out)

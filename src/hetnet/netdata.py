@@ -1,16 +1,20 @@
 """Count-valued directed networks with nodal attributes, and CSV ingestion.
 
-A :class:`CountNetwork` stores the edge multiset as a coordinate-format
-triplet list sorted by (src, dst), with degree vectors cached at
-construction.  Self-loops are rejected: the edge model sums over ordered
-pairs of distinct nodes only.  Indices are 0-based everywhere.
+A :class:`CountNetwork` stores the edge multiset as parallel int64
+arrays (src, dst, count) sorted by (src, dst), with degree vectors cached
+at construction.  Edges stay int64 arrays on the way in: the simulator
+and the CSV loader hand (m, 3) arrays to :meth:`CountNetwork.from_edges`,
+which checks and merges them with whole-array operations.  Self-loops
+are rejected: the edge model sums over ordered pairs of distinct nodes
+only.  Indices are 0-based everywhere.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
-import io
 import math
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -56,31 +60,34 @@ class CountNetwork:
 
     @staticmethod
     def from_edges(n: int, edges) -> "CountNetwork":
-        """Build from an iterable of (src, dst, count) triplets.
+        """Build from (src, dst, count) triplets: an (m, 3) array or an iterable.
 
         Duplicate (src, dst) pairs are summed; zero-count results are
         dropped.  Raises :class:`NetworkDataError` on self-loops, negative
-        counts, or out-of-range indices.
+        counts, or out-of-range indices, naming the first offending edge.
         """
         if n < 1:
             raise NetworkDataError(f"node count must be >= 1, got {n}")
-        acc: dict[tuple[int, int], int] = {}
-        for s, d, c in edges:
-            s, d, c = int(s), int(d), int(c)
+        e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges),
+                       dtype=np.int64).reshape(-1, 3)
+        s, d, c = e.T
+        bad = (s == d) | (s < 0) | (s >= n) | (d < 0) | (d >= n) | (c < 0)
+        if bad.any():
+            s, d, c = e[bad.argmax()].tolist()
             if s == d:
                 raise NetworkDataError(f"self-loop ({s},{d}) is not allowed")
             if not (0 <= s < n and 0 <= d < n):
                 raise NetworkDataError(
                     f"edge ({s},{d}) outside declared range [0, {n})"
                 )
-            if c < 0:
-                raise NetworkDataError(f"negative count {c} on edge ({s},{d})")
-            key = (s, d)
-            acc[key] = acc.get(key, 0) + c
-        keys = sorted(k for k, v in acc.items() if v > 0)
-        src = np.array([k[0] for k in keys], dtype=np.int64)
-        dst = np.array([k[1] for k in keys], dtype=np.int64)
-        cnt = np.array([acc[k] for k in keys], dtype=np.int64)
+            raise NetworkDataError(f"negative count {c} on edge ({s},{d})")
+        # one int64 key per pair, ordered as (src, dst); sums stay exact
+        keys, slot = np.unique(s * n + d, return_inverse=True)
+        total = np.zeros(keys.size, dtype=np.int64)
+        np.add.at(total, slot, c)
+        live = total > 0
+        src, dst = np.divmod(keys[live], n)
+        cnt = total[live]
         out_deg = np.bincount(src, weights=cnt, minlength=n).astype(np.int64)
         in_deg = np.bincount(dst, weights=cnt, minlength=n).astype(np.int64)
         net = CountNetwork(n, src, dst, cnt, out_deg, in_deg)
@@ -129,16 +136,11 @@ class AttributeMatrix:
 
 
 def _open_text(source):
-    """Accept a path, text stream, or byte stream; return a text stream."""
+    """A path or a text stream, as a context manager; only a path is closed."""
     if isinstance(source, (str, Path)):
         return open(source, "r", encoding="utf-8", newline="")
-    if isinstance(source, (bytes, bytearray)):
-        return io.StringIO(source.decode("utf-8"))
     if hasattr(source, "read"):
-        probe = source.read(0)
-        if isinstance(probe, bytes):
-            return io.TextIOWrapper(source, encoding="utf-8", newline="")
-        return source
+        return contextlib.nullcontext(source)
     raise TypeError(f"cannot read from {type(source).__name__}")
 
 
@@ -149,41 +151,43 @@ def load_edge_list(source, n: int | None = None) -> CountNetwork:
     is given, indices must lie in [0, n); otherwise the node count is
     inferred as one past the largest index seen.
     """
-    stream = _open_text(source)
-    reader = csv.reader(stream)
-    header = next(reader, None)
-    if header is None or [h.strip() for h in header] != ["src", "dst", "count"]:
-        raise NetworkDataError(
-            f"expected header 'src,dst,count', got {header!r}"
-        )
-    triplets = []
-    max_index = -1
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 3:
-            raise NetworkDataError(f"line {lineno}: expected 3 fields, got {len(row)}")
-        try:
-            s, d, c = int(row[0]), int(row[1]), int(row[2])
-        except ValueError as exc:
-            raise NetworkDataError(f"line {lineno}: non-integer field ({exc})") from None
-        if s == d:
-            raise NetworkDataError(f"line {lineno}: self-loop ({s},{d})")
-        if s < 0 or d < 0:
-            raise NetworkDataError(f"line {lineno}: negative index")
-        if c < 0:
-            raise NetworkDataError(f"line {lineno}: negative count {c}")
-        if n is not None and (s >= n or d >= n):
+    flat = array("q")
+    with _open_text(source) as stream:
+        reader = csv.reader(stream)
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header] != ["src", "dst", "count"]:
             raise NetworkDataError(
-                f"line {lineno}: index out of declared range [0, {n})"
+                f"expected header 'src,dst,count', got {header!r}"
             )
-        max_index = max(max_index, s, d)
-        triplets.append((s, d, c))
+        for lineno, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != 3:
+                raise NetworkDataError(f"line {lineno}: expected 3 fields, got {len(row)}")
+            try:
+                s, d, c = int(row[0]), int(row[1]), int(row[2])
+            except ValueError as exc:
+                raise NetworkDataError(f"line {lineno}: non-integer field ({exc})") from None
+            if s == d:
+                raise NetworkDataError(f"line {lineno}: self-loop ({s},{d})")
+            if s < 0 or d < 0:
+                raise NetworkDataError(f"line {lineno}: negative index")
+            if c < 0:
+                raise NetworkDataError(f"line {lineno}: negative count {c}")
+            if n is not None and (s >= n or d >= n):
+                raise NetworkDataError(
+                    f"line {lineno}: index out of declared range [0, {n})"
+                )
+            try:
+                flat.extend((s, d, c))
+            except OverflowError:
+                raise NetworkDataError(f"line {lineno}: field exceeds 64 bits") from None
+    edges = np.frombuffer(flat, dtype=np.int64).reshape(-1, 3)
     if n is None:
-        if max_index < 0:
+        if not edges.size:
             raise NetworkDataError("edge list has no rows and no declared node count")
-        n = max_index + 1
-    return CountNetwork.from_edges(n, triplets)
+        n = int(edges[:, :2].max()) + 1
+    return CountNetwork.from_edges(n, edges)
 
 
 def load_attributes(source) -> AttributeMatrix:
@@ -192,35 +196,35 @@ def load_attributes(source) -> AttributeMatrix:
     One row per node in node-index order; every cell must parse as a
     finite real number.
     """
-    stream = _open_text(source)
-    reader = csv.reader(stream)
-    header = next(reader, None)
-    if not header:
-        raise NetworkDataError("attribute file is empty (missing header)")
-    names = tuple(h.strip() for h in header)
-    p = len(names)
     rows = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != p:
-            raise NetworkDataError(
-                f"line {lineno}: expected {p} fields, got {len(row)} (ragged row)"
-            )
-        parsed = []
-        for j, cell in enumerate(row):
-            try:
-                v = float(cell)
-            except ValueError:
+    with _open_text(source) as stream:
+        reader = csv.reader(stream)
+        header = next(reader, None)
+        if not header:
+            raise NetworkDataError("attribute file is empty (missing header)")
+        names = tuple(h.strip() for h in header)
+        p = len(names)
+        for lineno, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != p:
                 raise NetworkDataError(
-                    f"line {lineno}, column {names[j]}: non-numeric cell {cell!r}"
-                ) from None
-            if not math.isfinite(v):
-                raise NetworkDataError(
-                    f"line {lineno}, column {names[j]}: non-finite cell {cell!r}"
+                    f"line {lineno}: expected {p} fields, got {len(row)} (ragged row)"
                 )
-            parsed.append(v)
-        rows.append(parsed)
+            parsed = []
+            for j, cell in enumerate(row):
+                try:
+                    v = float(cell)
+                except ValueError:
+                    raise NetworkDataError(
+                        f"line {lineno}, column {names[j]}: non-numeric cell {cell!r}"
+                    ) from None
+                if not math.isfinite(v):
+                    raise NetworkDataError(
+                        f"line {lineno}, column {names[j]}: non-finite cell {cell!r}"
+                    )
+                parsed.append(v)
+            rows.append(parsed)
     if not rows:
         raise NetworkDataError("attribute file has no data rows")
     return AttributeMatrix(np.array(rows, dtype=np.float64), names)

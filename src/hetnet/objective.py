@@ -63,9 +63,9 @@ class _SideLoss:
     """The loss kernel as a function of one side, the other held fixed.
 
     ``side`` names the side that varies ('alpha': f, 'beta': g).  The
-    fixed side's exponentials, their sum, its scaled maximum and its
-    degree product are taken once here, since a side update evaluates
-    many trial values against the same frozen side.  Each call returns
+    fixed side's exponentials, their sum, the sums over all other nodes,
+    its scaled maximum and its degree product are taken once here, since
+    a side update evaluates many trial values against the same frozen side.  Each call returns
     (loss, gradient w.r.t. the varying side) bit for bit as evaluating
     everything afresh would: every operation has the same operands, at
     most swapped in a product or a two-term sum, which commute exactly in
@@ -86,9 +86,15 @@ class _SideLoss:
         self.fixed_top = fixed.max() / z_n
         # an overflow here (fixed/z > 709) is reported by the calls: they
         # stop at the overflow limit or see the inf
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             self.fixed_exp = np.exp(fixed / z_n)
-        self.fixed_sum = self.fixed_exp.sum()
+            self.fixed_sum = self.fixed_exp.sum()
+            # sum over j != i for the gradient; S - h_i cancels only for the one
+            # node (if any) holding over half of S, so that entry is summed directly
+            self.fixed_rest = self.fixed_sum - self.fixed_exp
+        top = int(self.fixed_exp.argmax())
+        if 2.0 * self.fixed_exp[top] > self.fixed_sum:
+            self.fixed_rest[top] = np.delete(self.fixed_exp, top).sum()
         self.fixed_linear = other @ fixed
 
     def __call__(self, vals: np.ndarray):
@@ -98,20 +104,8 @@ class _SideLoss:
         e = np.exp(vals / z_n)
         expo = e.sum() * self.fixed_sum - e @ self.fixed_exp
         linear = (self.degree @ vals + self.fixed_linear) / z_n
-        grad = (e * (self.fixed_sum - self.fixed_exp) - self.degree) / z_n
+        grad = (e * self.fixed_rest - self.degree) / z_n
         return float(expo - linear), grad
-
-
-def _nll_and_grad(f: np.ndarray, g: np.ndarray, net: CountNetwork, z_n: float,
-                  side: str):
-    """Poisson loss and its gradient w.r.t. f (side='alpha') or g ('beta').
-
-    The one loss kernel, :class:`_SideLoss`, evaluated once.  Inputs are
-    not validated; past the overflow limit it returns (inf, None).
-    """
-    if side == "beta":
-        return _SideLoss(f, net, z_n, side)(g)
-    return _SideLoss(g, net, z_n, side)(f)
 
 
 def poisson_nll(f_vals, g_vals, net: CountNetwork, z_n: float = 1.0) -> float:
@@ -123,7 +117,7 @@ def poisson_nll(f_vals, g_vals, net: CountNetwork, z_n: float = 1.0) -> float:
     """
     f = _check_values(f_vals, net, z_n)
     g = _check_values(g_vals, net, z_n)
-    return _nll_and_grad(f, g, net, z_n, "alpha")[0]
+    return _SideLoss(g, net, z_n, "alpha")(f)[0]
 
 
 def identifiability_penalty(f_vals, target_sum: float, gamma: float):

@@ -17,6 +17,7 @@ shift, which leaves every fitted rate unchanged.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from concurrent.futures import ProcessPoolExecutor
 
@@ -67,6 +68,11 @@ class HierarchyViolationError(RuntimeError):
     """A trained net breaks ||W_k||_2 <= M*|theta_k|, which the prox must keep."""
 
 
+def _is_whole(v) -> bool:
+    """An integer value of any real type; NaN, inf and 2.5 are not."""
+    return isinstance(v, numbers.Real) and math.isfinite(v) and int(v) == v
+
+
 @dataclass(frozen=True)
 class FitConfig:
     """Hyperparameters of one fit.
@@ -74,7 +80,9 @@ class FitConfig:
     ``gamma`` and ``epsilon`` default to None and are resolved against
     the data size when fitting: gamma = 1/n, epsilon = 1e-4 * sqrt(n).
     ``hidden_widths_beta`` lets the receiver net use a different
-    architecture; None means same as ``hidden_widths``.
+    architecture; None means same as ``hidden_widths``.  Construction
+    raises ValueError on a NaN or infinite number, or a fractional count
+    or width; whole-valued counts and widths are stored as int.
     """
 
     lambda1: float = 0.0
@@ -91,32 +99,27 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ValueError("lambda1 and lambda2 must be non-negative")
-        if self.gamma is not None and self.gamma < 0:
-            raise ValueError("gamma must be non-negative")
-        if self.M <= 0:
-            raise ValueError("M must be positive")
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
-        if self.epsilon is not None and self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.t_max_outer < 1:
-            raise ValueError("t_max_outer must be a positive integer")
-        if self.inner_epochs < 1:
-            raise ValueError("inner_epochs must be a positive integer")
-        if self.z_n <= 0:
-            raise ValueError("z_n must be positive")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
-        for w in tuple(self.hidden_widths) + tuple(self.hidden_widths_beta or ()):
-            if int(w) != w or w < 1:
-                raise ValueError("hidden widths must be positive integers")
-        object.__setattr__(self, "hidden_widths", tuple(int(w) for w in self.hidden_widths))
-        if self.hidden_widths_beta is not None:
-            object.__setattr__(
-                self, "hidden_widths_beta", tuple(int(w) for w in self.hidden_widths_beta)
-            )
+        nonneg = ("lambda1", "lambda2", "gamma")
+        for name in nonneg + ("M", "rho", "epsilon", "z_n"):
+            v = getattr(self, name)
+            if v is None and name in ("gamma", "epsilon"):
+                continue
+            if not (math.isfinite(v) and (v >= 0 if name in nonneg else v > 0)):
+                what = "non-negative" if name in nonneg else "positive"
+                raise ValueError(f"{name} must be finite and {what}, got {v!r}")
+        for name, low in (("t_max_outer", 1), ("inner_epochs", 1), ("seed", 0)):
+            v = getattr(self, name)
+            if not (_is_whole(v) and low <= v < 2**64):
+                raise ValueError(f"{name} must be an integer in [{low}, 2**64), got {v!r}")
+            object.__setattr__(self, name, int(v))
+        for name in ("hidden_widths", "hidden_widths_beta"):
+            widths = getattr(self, name)
+            if widths is None and name == "hidden_widths_beta":
+                continue
+            if not (isinstance(widths, (list, tuple))
+                    and all(_is_whole(w) and w >= 1 for w in widths)):
+                raise ValueError(f"{name} must be a list of positive integers, got {widths!r}")
+            object.__setattr__(self, name, tuple(int(w) for w in widths))
 
     def resolved_gamma(self, n: int) -> float:
         return 1.0 / n if self.gamma is None else self.gamma

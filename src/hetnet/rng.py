@@ -21,21 +21,13 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-def splitmix64(state: int) -> int:
-    """One SplitMix64 output for the given 64-bit state."""
-    z = (state + _GOLDEN) & _MASK64
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-    return z ^ (z >> 31)
-
-
 def derive_seed(base_seed: int, index: int) -> int:
     """Derive an independent 64-bit seed from a base seed and an index.
 
     Mixes the index through two SplitMix64 rounds so that nearby indices
     give unrelated streams.
     """
-    return splitmix64(splitmix64(base_seed & _MASK64) ^ (index & _MASK64))
+    return Rng(Rng(base_seed).next_u64() ^ (index & _MASK64)).next_u64()
 
 
 def seed_for(name: str, base_seed: int) -> int:

@@ -127,7 +127,7 @@ def sample_network(truth: GroundTruth, seed: int) -> CountNetwork:
     """
     n = truth.n
     rng = Rng(seed)
-    edges = []
+    counts = np.zeros((n, n), dtype=np.int64)
     clamped = 0
     for i in range(n):
         log_rate = (truth.alpha0[i] + truth.beta0) / truth.z_n
@@ -135,16 +135,14 @@ def sample_network(truth: GroundTruth, seed: int) -> CountNetwork:
         hot[i] = False
         clamped += int(hot.sum())
         rates = np.exp(np.minimum(log_rate, LOG_RATE_CLAMP))
-        for j in range(n):
-            if j == i:
-                continue
-            c = rng.poisson(float(rates[j]))
-            if c > 0:
-                edges.append((i, j, c))
+        # a zero rate draws nothing from the stream, so the diagonal is skipped
+        rates[i] = 0.0
+        counts[i] = [rng.poisson(r) for r in rates.tolist()]
     if clamped:
         logger.warning("sample_network: clamped %d of %d dyad log-rates to %g",
                        clamped, n * (n - 1), LOG_RATE_CLAMP)
-    return CountNetwork.from_edges(n, edges)
+    src, dst = np.nonzero(counts)
+    return CountNetwork.from_edges(n, np.column_stack((src, dst, counts[src, dst])))
 
 
 def rmse(est, truth) -> float:

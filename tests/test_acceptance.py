@@ -29,7 +29,7 @@ from hetnet import (
     two_stage_select,
 )
 from hetnet.cli import main
-from hetnet.objective import _nll_and_grad
+from hetnet.objective import _SideLoss
 from hetnet.rng import derive_seed, seed_for
 from hetnet.simbench import (
     gen_attributes,
@@ -288,8 +288,8 @@ def test_criterion_6_gradient_correctness():
         edges = [(i, j, int(dense[i, j])) for i in range(n) for j in range(n)
                  if i != j and dense[i, j] > 0]
         A = CountNetwork.from_edges(n, edges)
-        for side, vals in (("alpha", f), ("beta", g)):
-            _, got = _nll_and_grad(f, g, A, z, side)
+        for side, fixed, vals in (("alpha", g, f), ("beta", f, g)):
+            _, got = _SideLoss(fixed, A, z, side)(vals)
             h = 1e-6
             for i in range(n):
                 keep = vals[i]

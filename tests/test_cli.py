@@ -73,6 +73,16 @@ def test_simulate_rejects_small_p(tmp_path, capsys):
     assert "p must be >= 10" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("zn", ["0", "-1", "nan", "inf"])
+def test_simulate_rejects_bad_zn_before_writing(tmp_path, capsys, zn):
+    out = tmp_path / "out"
+    rc = main(["simulate", "--setting", "linear", "--n", "30", "--p", "12",
+               "--seed", "42", "--zn", zn, "--out", str(out)])
+    assert rc == 2
+    assert "--zn" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_rejects_tiny_n(tmp_path):
     rc = main(["simulate", "--setting", "nonlinear", "--n", "1", "--p", "12",
                "--seed", "1", "--out", str(tmp_path)])
@@ -141,6 +151,22 @@ def test_fit_invalid_config_exits_2(dataset, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("key,value", [
+    ("lambda1", float("nan")), ("rho", float("inf")), ("M", float("inf")),
+    ("gamma", float("nan")), ("z_n", float("nan")), ("epsilon", float("nan")),
+    ("inner_epochs", 2.5), ("t_max_outer", 2.5), ("seed", 1.5), ("hidden_widths", 5),
+])
+def test_fit_rejects_non_finite_or_fractional_config(dataset, tmp_path, capsys, key, value):
+    cfg = _write_config(tmp_path / "config.json", **dict(FAST_FIT, **{key: value}))
+    out = tmp_path / "out"
+    rc = main(["fit", "--edges", str(dataset / "edges.csv"),
+               "--attributes", str(dataset / "attributes.csv"),
+               "--config", cfg, "--out", str(out)])
+    assert rc == 2
+    assert key.replace("_", " ") in capsys.readouterr().err.replace("_", " ")
+    assert not out.exists()
+
+
 def test_fit_broken_hierarchy_exits_1(dataset, tmp_path, capsys, monkeypatch):
     import hetnet.optimizer as optimizer
 
@@ -203,6 +229,24 @@ def test_tune_rejects_malformed_grid(dataset, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("entry", [
+    {"lambda1": -1.0, "lambda2": 1.0, "M": 0.5},
+    {"lambda1": 1.0, "lambda2": 1.0, "M": 0.0},
+    {"lambda1": 1.0, "lambda2": float("nan"), "M": 0.5},
+])
+def test_tune_rejects_invalid_grid_entry_before_fitting(dataset, tmp_path, capsys, entry):
+    cfg = _write_config(tmp_path / "config.json", **FAST_FIT)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([{"lambda1": 4.0, "lambda2": 4.0, "M": 0.5}, entry]))
+    out = tmp_path / "out"
+    rc = main(["tune", "--edges", str(dataset / "edges.csv"),
+               "--attributes", str(dataset / "attributes.csv"),
+               "--config", cfg, "--grid", str(grid), "--out", str(out)])
+    assert rc == 2
+    assert "grid entry 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --------------------------------------------------------------- evaluate
 
 def _evaluate(out, *, jobs="1", methods="mle,oracle", seed="5"):
@@ -237,6 +281,16 @@ def test_evaluate_unknown_method_exits_2(tmp_path, capsys):
     rc = _evaluate(tmp_path, methods="mle,warp")
     assert rc == 2
     assert "warp" in capsys.readouterr().err
+
+
+def test_evaluate_rejects_negative_zn(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main(["evaluate", "--setting", "linear", "--n", "20", "--p", "10",
+               "--replications", "1", "--methods", "mle", "--seed", "5",
+               "--zn", "-1", "--out", str(out)])
+    assert rc == 2
+    assert "--zn" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_evaluate_requires_p_at_least_10(tmp_path):

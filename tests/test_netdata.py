@@ -2,7 +2,9 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import hetnet.netdata as netdata_mod
 from hetnet import (
     AttributeMatrix,
     CountNetwork,
@@ -85,6 +87,126 @@ def test_degrees_cycle():
     assert inn.tolist() == [1, 1, 1]
 
 
+# ------------------------------------------------------ array edge path
+
+def _dict_merge_reference(n, edges):
+    """The tuple-and-dict builder that from_edges replaced, kept verbatim."""
+    acc: dict[tuple[int, int], int] = {}
+    for s, d, c in edges:
+        s, d, c = int(s), int(d), int(c)
+        if s == d:
+            raise NetworkDataError(f"self-loop ({s},{d}) is not allowed")
+        if not (0 <= s < n and 0 <= d < n):
+            raise NetworkDataError(
+                f"edge ({s},{d}) outside declared range [0, {n})"
+            )
+        if c < 0:
+            raise NetworkDataError(f"negative count {c} on edge ({s},{d})")
+        key = (s, d)
+        acc[key] = acc.get(key, 0) + c
+    keys = sorted(k for k, v in acc.items() if v > 0)
+    return [(k[0], k[1], acc[k]) for k in keys]
+
+
+@st.composite
+def _edge_lists(draw, valid=True):
+    """(n, triplets) with repeated pairs and zero counts; valid=False also
+    draws self-loops, out-of-range indices and negative counts."""
+    n = draw(st.integers(1, 8))
+    idx = st.integers(0, n - 1) if valid else st.integers(-2, n + 1)
+    cnt = st.integers(0, 5) if valid else st.integers(-2, 5)
+    edges = draw(st.lists(st.tuples(idx, idx, cnt), max_size=30))
+    return n, [e for e in edges if e[0] != e[1]] if valid else edges
+
+
+def _as_kind(edges, kind):
+    if kind == "list":
+        return list(edges)
+    if kind == "generator":
+        return (e for e in edges)
+    return np.array(edges, dtype=np.int64).reshape(-1, 3)
+
+
+_KINDS = st.sampled_from(["list", "generator", "array"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_edge_lists(), _KINDS)
+@example((3, []), "array")
+@example((2, [(0, 1, 0), (0, 1, 0)]), "list")
+def test_from_edges_matches_dict_merge(case, kind):
+    n, edges = case
+    want = _dict_merge_reference(n, edges)
+    net = CountNetwork.from_edges(n, _as_kind(edges, kind))
+    assert list(net.edges()) == want
+    for arr in (net.src, net.dst, net.count, net.out_degree, net.in_degree):
+        assert arr.dtype == np.int64
+    assert net.out_degree.tolist() == [sum(c for s, _, c in want if s == i) for i in range(n)]
+    assert net.in_degree.tolist() == [sum(c for _, d, c in want if d == i) for i in range(n)]
+    # a network's own edge generator rebuilds it exactly
+    assert list(CountNetwork.from_edges(n, net.edges()).edges()) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edge_lists(valid=False), _KINDS)
+@example((3, [(0, 1, -1), (2, 2, 1)]), "array")
+@example((3, [(0, 5, -1), (1, 1, 1)]), "list")
+@example((2, [(7, 7, -3)]), "generator")
+def test_from_edges_reports_first_offending_edge(case, kind):
+    n, edges = case
+    try:
+        want = _dict_merge_reference(n, edges)
+    except NetworkDataError as exc:
+        with pytest.raises(NetworkDataError) as info:
+            CountNetwork.from_edges(n, _as_kind(edges, kind))
+        assert str(info.value) == str(exc)
+    else:
+        assert list(CountNetwork.from_edges(n, _as_kind(edges, kind)).edges()) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(_edge_lists())
+def test_edge_list_write_load_is_byte_identical(case):
+    n, edges = case
+    net = CountNetwork.from_edges(n, edges)
+    first = io.StringIO()
+    write_edge_list(net, first)
+    loads = [load_edge_list(io.StringIO(first.getvalue()), n=n)]
+    if net.count.size:
+        loads.append(load_edge_list(io.StringIO(first.getvalue())))
+    for again in loads:
+        assert list(again.edges()) == list(net.edges())
+        second = io.StringIO()
+        write_edge_list(again, second)
+        assert second.getvalue() == first.getvalue()
+
+
+@pytest.mark.parametrize("loader,good,bad", [
+    (load_edge_list, "src,dst,count\n0,1,2\n", "src,dst,count\n0,1\n"),
+    (load_attributes, "x1,x2\n1,2\n", "x1,x2\n1\n"),
+])
+def test_loaders_close_the_files_they_open(tmp_path, monkeypatch, loader, good, bad):
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(netdata_mod, "open", recording_open, raising=False)
+    path = tmp_path / "in.csv"
+    path.write_text(good)
+    loader(path)
+    path.write_text(bad)
+    with pytest.raises(NetworkDataError, match="line 2"):
+        loader(str(path))
+    assert len(opened) == 2
+    assert all(fh.closed for fh in opened)
+    # a stream belongs to the caller and stays open
+    stream = io.StringIO(good)
+    loader(stream)
+    assert not stream.closed
+
+
 # --------------------------------------------------------- AttributeMatrix
 
 def test_attribute_matrix_basic():
@@ -134,6 +256,11 @@ def test_load_edge_list_reports_line_numbers():
         load_edge_list(io.StringIO("src,dst,count\n0,1,1\n0,0,2\n"))
     with pytest.raises(NetworkDataError, match="line 2.*non-integer"):
         load_edge_list(io.StringIO("src,dst,count\nx,1,1\n"))
+
+
+def test_load_edge_list_rejects_counts_past_int64():
+    with pytest.raises(NetworkDataError, match="line 3.*64 bits"):
+        load_edge_list(io.StringIO("src,dst,count\n0,1,1\n1,0,9223372036854775808\n"))
 
 
 def test_load_edge_list_declared_range_enforced():

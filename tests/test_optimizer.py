@@ -597,6 +597,23 @@ def test_fit_config_validation():
         FitConfig(hidden_widths=(2.5,))
 
 
+@pytest.mark.parametrize("field,value", [
+    ("lambda1", math.nan), ("lambda2", math.inf), ("gamma", math.nan), ("M", math.inf),
+    ("rho", math.nan), ("epsilon", math.nan), ("z_n", math.inf),
+    ("t_max_outer", 2.5), ("inner_epochs", 2.5), ("seed", 1.5),
+    ("hidden_widths", (math.inf,)),
+])
+def test_fit_config_rejects_non_finite_and_fractional_values(field, value):
+    with pytest.raises(ValueError, match=field.replace("_", "[_ ]")):
+        FitConfig(**{field: value})
+
+
+def test_fit_config_integer_fields_become_int():
+    cfg = FitConfig(t_max_outer=3.0, inner_epochs=np.int64(7), seed=5.0)
+    assert (cfg.t_max_outer, cfg.inner_epochs, cfg.seed) == (3, 7, 5)
+    assert all(type(v) is int for v in (cfg.t_max_outer, cfg.inner_epochs, cfg.seed))
+
+
 def test_fit_config_resolved_defaults():
     cfg = FitConfig()
     assert cfg.resolved_gamma(100) == pytest.approx(0.01)
