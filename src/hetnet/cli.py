@@ -9,6 +9,7 @@ Every command is deterministic given its flags; outputs are plain CSV
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
@@ -62,6 +63,11 @@ def _require_file(path: str, what: str) -> Path:
 def _check_zn(zn: float) -> None:
     if not (math.isfinite(zn) and zn > 0):
         raise UsageError(f"--zn must be finite and positive, got {zn}")
+
+
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise UsageError(f"--jobs must be >= 1, got {jobs}")
 
 
 def _out_dir(path: str) -> Path:
@@ -206,6 +212,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_tune(args) -> int:
+    _check_jobs(args.jobs)
     net, xmat = _load_dataset(args)
     config = load_fit_config(_require_file(args.config, "config"))
     grid = load_grid(_require_file(args.grid, "grid"))
@@ -228,6 +235,7 @@ def cmd_evaluate(args) -> int:
     if not methods:
         raise UsageError("--methods must name at least one method")
     _check_zn(args.zn)
+    _check_jobs(args.jobs)
     config = (load_fit_config(_require_file(args.config, "config"))
               if args.config else FitConfig())
     out = _out_dir(args.out)
@@ -241,6 +249,10 @@ def cmd_evaluate(args) -> int:
         write_metrics_csv(report, fh)
     with open(out / "replication_raw.csv", "w", encoding="utf-8", newline="\n") as fh:
         write_raw_csv(report, fh)
+    with open(out / "failures.csv", "w", encoding="utf-8", newline="\n") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["replication", "method", "error"])
+        writer.writerows(report.failure_log)
     return 0
 
 

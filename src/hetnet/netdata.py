@@ -240,7 +240,7 @@ def write_edge_list(net: CountNetwork, stream) -> None:
 
 def write_attributes(x: AttributeMatrix, stream) -> None:
     """Write attribute CSV with full-precision floats (LF newlines)."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(list(x.names))
-    for row in x.values:
-        writer.writerow([repr(float(v)) for v in row])
+    csv.writer(stream, lineterminator="\n").writerow(list(x.names))
+    # a float repr holds no comma, quote or newline, so it needs no CSV quoting
+    for row in x.values.tolist():
+        stream.write(",".join(map(repr, row)) + "\n")

@@ -10,6 +10,7 @@ derived with :func:`derive_seed` rather than by partitioning one stream.
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -19,6 +20,8 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+# most uniforms one Rng.poissons block holds; a larger need is met by refills
+_POISSON_BLOCK_CAP = 1 << 14
 
 
 def derive_seed(base_seed: int, index: int) -> int:
@@ -114,40 +117,70 @@ class Rng:
         return v
 
     def poisson(self, lam: float) -> int:
-        if lam < 0.0 or not math.isfinite(lam):
+        return int(self.poissons([lam])[0])
+
+    def poissons(self, rates) -> np.ndarray:
+        """One draw of the pinned sampler per rate, in order, as int64.
+
+        Rate 0 reads no uniform.  The uniforms come from :meth:`uniforms`
+        blocks, refilled whenever one runs out (also within a draw), and
+        the state is rewound by the count left unread, so draws and final
+        state equal those of one rate at a time from scalar uniforms.
+        """
+        lams = np.asarray(rates, dtype=np.float64)
+        bad = ~np.isfinite(lams) | (lams < 0.0)
+        if bad.any():
+            lam = float(lams[bad.argmax()])
             raise ValueError(f"Poisson rate must be finite and >= 0, got {lam}")
-        if lam == 0.0:
-            return 0
-        if lam < 30.0:
-            return self._poisson_product(lam)
-        return self._poisson_ptrs(lam)
+        small = lams[lams < 30.0]
+        # the product branch reads lam + 1 uniforms on average, PTRS 2.2 to 2.4
+        size = min(_POISSON_BLOCK_CAP,
+                   small.size + int(small.sum()) + 3 * (lams.size - small.size) + 64)
+        block = None
 
-    def _poisson_product(self, lam: float) -> int:
-        # Knuth: count uniforms until their product drops below exp(-lam).
-        limit = math.exp(-lam)
-        k = 0
-        prod = self.uniform()
-        while prod > limit:
-            k += 1
-            prod *= self.uniform()
-        return k
+        def blocks():
+            nonlocal block
+            while True:
+                block = iter(self.uniforms(size).tolist())
+                yield block
 
-    def _poisson_ptrs(self, lam: float) -> int:
-        # Hormann (1993) PTRS transformed rejection, valid for lam >= 10.
-        log_lam = math.log(lam)
-        b = 0.931 + 2.53 * math.sqrt(lam)
-        a = -0.059 + 0.02483 * b
-        inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
-        v_r = 0.9277 - 3.6224 / (b - 2.0)
-        while True:
-            u = self.uniform() - 0.5
-            v = self.uniform()
-            us = 0.5 - abs(u)
-            k = math.floor((2.0 * a / us + b) * u + lam + 0.43)
-            if us >= 0.07 and v <= v_r:
-                return int(k)
-            if k < 0 or (us < 0.013 and v > us):
-                continue
-            lhs = math.log(v * inv_alpha / (a / (us * us) + b))
-            if lhs <= k * log_lam - lam - math.lgamma(k + 1.0):
-                return int(k)
+        uniform = chain.from_iterable(blocks()).__next__
+        draws = []
+        for lam in lams.tolist():
+            if lam == 0.0:
+                k = 0
+            elif lam < 30.0:
+                # Knuth: count uniforms until their product drops below exp(-lam).
+                limit = math.exp(-lam)
+                k = 0
+                prod = uniform()
+                while prod > limit:
+                    k += 1
+                    prod *= uniform()
+            else:
+                k = _poisson_ptrs(lam, uniform)
+            draws.append(k)
+        if block is not None:
+            self._state = (self._state - block.__length_hint__() * _GOLDEN) & _MASK64
+        return np.array(draws, dtype=np.int64)
+
+
+def _poisson_ptrs(lam: float, uniform) -> int:
+    # Hormann (1993) PTRS transformed rejection, valid for lam >= 10.
+    log_lam = math.log(lam)
+    b = 0.931 + 2.53 * math.sqrt(lam)
+    a = -0.059 + 0.02483 * b
+    inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
+    v_r = 0.9277 - 3.6224 / (b - 2.0)
+    while True:
+        u = uniform() - 0.5
+        v = uniform()
+        us = 0.5 - abs(u)
+        k = math.floor((2.0 * a / us + b) * u + lam + 0.43)
+        if us >= 0.07 and v <= v_r:
+            return int(k)
+        if k < 0 or (us < 0.013 and v > us):
+            continue
+        lhs = math.log(v * inv_alpha / (a / (us * us) + b))
+        if lhs <= k * log_lam - lam - math.lgamma(k + 1.0):
+            return int(k)

@@ -137,7 +137,7 @@ def sample_network(truth: GroundTruth, seed: int) -> CountNetwork:
         rates = np.exp(np.minimum(log_rate, LOG_RATE_CLAMP))
         # a zero rate draws nothing from the stream, so the diagonal is skipped
         rates[i] = 0.0
-        counts[i] = [rng.poisson(r) for r in rates.tolist()]
+        counts[i] = rng.poissons(rates)
     if clamped:
         logger.warning("sample_network: clamped %d of %d dyad log-rates to %g",
                        clamped, n * (n - 1), LOG_RATE_CLAMP)

@@ -5,6 +5,7 @@ import pytest
 
 from hetnet import forward_batch, load_attributes, load_edge_list
 from hetnet.cli import main
+from hetnet.simbench import _METHOD_REGISTRY
 from hetnet.skipnet import net_from_json_dict
 
 
@@ -247,6 +248,21 @@ def test_tune_rejects_invalid_grid_entry_before_fitting(dataset, tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_tune_rejects_jobs_below_one(dataset, tmp_path, capsys, jobs):
+    cfg = _write_config(tmp_path / "config.json", **FAST_FIT)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([{"lambda1": 4.0, "lambda2": 4.0, "M": 0.5}]))
+    out = tmp_path / "out"
+    rc = main(["tune", "--edges", str(dataset / "edges.csv"),
+               "--attributes", str(dataset / "attributes.csv"),
+               "--config", cfg, "--grid", str(grid), "--jobs", jobs,
+               "--out", str(out)])
+    assert rc == 2
+    assert "error: --jobs must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --------------------------------------------------------------- evaluate
 
 def _evaluate(out, *, jobs="1", methods="mle,oracle", seed="5"):
@@ -265,6 +281,7 @@ def test_evaluate_smoke(tmp_path):
     assert raw[0] == "replication,method,side,rmse,precision,tpr,f1"
     # two methods x two replications x two sides
     assert len(raw) == 1 + 2 * 2 * 2
+    assert _read(tmp_path / "failures.csv") == b"replication,method,error\n"
 
 
 def test_evaluate_deterministic_across_jobs(tmp_path):
@@ -275,6 +292,32 @@ def test_evaluate_deterministic_across_jobs(tmp_path):
     assert _read(a / "metrics.csv") == _read(b / "metrics.csv")
     assert _read(a / "metrics.csv") == _read(c / "metrics.csv")
     assert _read(a / "replication_raw.csv") == _read(c / "replication_raw.csv")
+
+
+def test_evaluate_writes_failures_csv(tmp_path, monkeypatch):
+    def boom(A, X, config, seed, truth):
+        raise RuntimeError('bad, "really" bad')
+
+    monkeypatch.setitem(_METHOD_REGISTRY, "boom", boom)
+    outs = [tmp_path / "jobs1", tmp_path / "jobs4"]
+    for out, jobs in zip(outs, ("1", "4")):
+        assert _evaluate(out, jobs=jobs, methods="boom,mle") == 0
+    want = ('replication,method,error\n'
+            '1,boom,"RuntimeError: bad, ""really"" bad"\n'
+            '2,boom,"RuntimeError: bad, ""really"" bad"\n')
+    for out in outs:
+        assert (out / "failures.csv").read_text() == want
+        assert "boom,,failures,2,,2" in (out / "metrics.csv").read_text().splitlines()
+    for name in ("metrics.csv", "replication_raw.csv"):
+        assert _read(outs[0] / name) == _read(outs[1] / name)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_evaluate_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    out = tmp_path / "out"
+    assert _evaluate(out, jobs=jobs) == 2
+    assert "error: --jobs must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_evaluate_unknown_method_exits_2(tmp_path, capsys):

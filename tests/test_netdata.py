@@ -1,8 +1,10 @@
+import csv
 import io
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import hetnet.netdata as netdata_mod
 from hetnet import (
@@ -325,3 +327,44 @@ def test_attributes_round_trip_exact():
     assert again.names == ("u", "v")
     # repr round-trips float64 exactly
     assert np.array_equal(again.values, rows)
+
+
+def _csv_writer_attributes(x, stream):
+    """write_attributes as it was on csv.writer, kept as the byte reference."""
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(list(x.names))
+    for row in x.values:
+        writer.writerow([repr(float(v)) for v in row])
+
+
+_EDGE_FLOATS = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e-5, 1e300,
+                -1.7976931348623157e308]
+
+
+@st.composite
+def _attribute_matrices(draw):
+    values = draw(arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 6)),
+                         elements=st.floats(allow_nan=False, allow_infinity=False)
+                         | st.sampled_from(_EDGE_FLOATS)))
+    # names may need quoting (commas, quotes); the loader strips whitespace
+    name = st.text(alphabet='ab1_ ,"', min_size=1, max_size=6).filter(
+        lambda s: s == s.strip())
+    p = values.shape[1]
+    names = draw(st.just(()) | st.lists(name, min_size=p, max_size=p).map(tuple))
+    return values, names
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix=_attribute_matrices())
+@example(matrix=(np.array([_EDGE_FLOATS]), ()))
+def test_attributes_round_trip_bit_identical(matrix):
+    values, names = matrix
+    x = AttributeMatrix(values, names=names)
+    buf, ref = io.StringIO(), io.StringIO()
+    write_attributes(x, buf)
+    _csv_writer_attributes(x, ref)
+    assert buf.getvalue() == ref.getvalue()
+    again = load_attributes(io.StringIO(buf.getvalue()))
+    assert again.names == x.names
+    assert again.values.shape == values.shape
+    assert again.values.tobytes() == values.tobytes()

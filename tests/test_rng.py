@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+import hetnet.rng as rng_module
 from hetnet import Rng, derive_seed, seed_for
 
 # GOF tests reject at 1e-4 so a seeded run is effectively deterministic
@@ -72,6 +73,108 @@ def test_uniforms_block_equals_scalar_draws(seed, k):
        k=st.sampled_from([0, 1, 10_000]))
 def test_uniforms_block_equals_scalar_draws_any_seed(seed, k):
     _assert_block_matches_scalar(seed, k)
+
+
+class _ScalarPoissonRng(Rng):
+    """The scalar Poisson sampler that Rng.poissons replaced, kept verbatim."""
+
+    __slots__ = ()
+
+    def poisson(self, lam: float) -> int:
+        if lam < 0.0 or not math.isfinite(lam):
+            raise ValueError(f"Poisson rate must be finite and >= 0, got {lam}")
+        if lam == 0.0:
+            return 0
+        if lam < 30.0:
+            return self._poisson_product(lam)
+        return self._poisson_ptrs(lam)
+
+    def _poisson_product(self, lam: float) -> int:
+        # Knuth: count uniforms until their product drops below exp(-lam).
+        limit = math.exp(-lam)
+        k = 0
+        prod = self.uniform()
+        while prod > limit:
+            k += 1
+            prod *= self.uniform()
+        return k
+
+    def _poisson_ptrs(self, lam: float) -> int:
+        # Hormann (1993) PTRS transformed rejection, valid for lam >= 10.
+        log_lam = math.log(lam)
+        b = 0.931 + 2.53 * math.sqrt(lam)
+        a = -0.059 + 0.02483 * b
+        inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
+        v_r = 0.9277 - 3.6224 / (b - 2.0)
+        while True:
+            u = self.uniform() - 0.5
+            v = self.uniform()
+            us = 0.5 - abs(u)
+            k = math.floor((2.0 * a / us + b) * u + lam + 0.43)
+            if us >= 0.07 and v <= v_r:
+                return int(k)
+            if k < 0 or (us < 0.013 and v > us):
+                continue
+            lhs = math.log(v * inv_alpha / (a / (us * us) + b))
+            if lhs <= k * log_lam - lam - math.lgamma(k + 1.0):
+                return int(k)
+
+
+def _assert_poissons_match_scalar(seed: int, rates) -> None:
+    block, scalar = Rng(seed), _ScalarPoissonRng(seed)
+    got = block.poissons(rates)
+    want = [scalar.poisson(r) for r in rates]
+    assert got.dtype == np.int64 and got.shape == (len(rates),)
+    assert got.tolist() == want
+    # both streams continue from the same state
+    assert block.next_u64() == scalar.next_u64()
+
+
+# every branch and its edges: no draw, one uniform, the product method,
+# the PTRS boundary and PTRS up to the clamp rate exp(12)
+_RATES = st.one_of(
+    st.sampled_from([0.0, 1e-300, 30.0, math.exp(12.0)]),
+    st.floats(min_value=0.0, max_value=30.0, exclude_max=True),
+    st.floats(min_value=30.0, max_value=math.exp(12.0)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 64 - 1),
+       rates=st.lists(_RATES, max_size=40))
+def test_poissons_equal_scalar_draws(seed, rates):
+    _assert_poissons_match_scalar(seed, rates)
+
+
+@pytest.mark.parametrize("cap", [1, 2])
+def test_poissons_refill_within_a_draw(monkeypatch, cap):
+    # one- and two-uniform blocks run out inside every product draw with
+    # rate > 0 and inside every PTRS attempt
+    monkeypatch.setattr(rng_module, "_POISSON_BLOCK_CAP", cap)
+    rates = [0.0, 3.0, 29.5, 30.0, 0.0, 1e-300, 250.0, math.exp(12.0), 12.5]
+    for seed in range(20):
+        _assert_poissons_match_scalar(seed, rates)
+
+
+def test_poissons_empty_and_all_zero_draw_nothing():
+    for rates in ([], [0.0, 0.0]):
+        rng = Rng(5)
+        assert rng.poissons(rates).tolist() == [0] * len(rates)
+        assert rng.next_u64() == Rng(5).next_u64()
+
+
+@pytest.mark.parametrize("rates, shown", [
+    ([1.0, -2.0, float("nan")], "-2.0"),
+    ([float("nan"), -1.0], "nan"),
+    ([0.0, 40.0, float("inf")], "inf"),
+    ([float("-inf")], "-inf"),
+])
+def test_poissons_reject_the_first_bad_rate(rates, shown):
+    rng = Rng(3)
+    with pytest.raises(ValueError, match=f"finite and >= 0, got {shown}$"):
+        rng.poissons(rates)
+    # checked before any draw
+    assert rng.next_u64() == Rng(3).next_u64()
 
 
 def test_poisson_rate_zero():

@@ -20,6 +20,7 @@ from hetnet import (
 )
 from hetnet.rng import Rng
 from hetnet.simbench import _METHOD_REGISTRY, MethodResult
+from test_rng import _ScalarPoissonRng
 
 
 # ---------------------------------------------------------- gen_attributes
@@ -214,6 +215,26 @@ def test_sample_network_clamps_hot_dyads(caplog):
     # all counts near exp(12), never near exp(20)
     for _, _, c in net.edges():
         assert c < 5e5
+
+
+def test_sample_network_equals_per_dyad_draws_on_clamped_truth(caplog):
+    # rates span the product branch, PTRS and the exp(12) clamp; the
+    # reference is the per-dyad loop of scalar draws that block draws replaced
+    truth = GroundTruth(alpha0=np.linspace(-3.0, 13.0, 12),
+                        beta0=np.linspace(-1.0, 2.0, 12),
+                        a_alpha=frozenset({0}), a_beta=frozenset({1}))
+    with caplog.at_level(logging.WARNING, logger="hetnet.simbench"):
+        net = sample_network(truth, seed=17)
+    assert "clamped" in caplog.text
+    rng = _ScalarPoissonRng(17)
+    want = []
+    for i in range(truth.n):
+        log_rate = np.minimum(truth.alpha0[i] + truth.beta0, 12.0)
+        for j, r in enumerate(np.exp(log_rate).tolist()):
+            c = 0 if j == i else rng.poisson(r)
+            if c:
+                want.append((i, j, c))
+    assert list(net.edges()) == want
 
 
 def test_sample_network_z_scales_rates():
