@@ -220,10 +220,11 @@ def cmd_tune(args) -> int:
     best_config, best_est, results = grid_search(net, xmat, config, grid,
                                                  jobs=args.jobs)
     with open(out / "tuning.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("lambda1,lambda2,M,s_total,nll,hbic\n")
-        for res in results:
-            fh.write(f"{res.lambda1!r},{res.lambda2!r},{res.M!r},"
-                     f"{res.s_total},{res.nll!r},{res.hbic!r}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["lambda1", "lambda2", "M", "s_total", "nll", "hbic", "error"])
+        # floats as repr; error is empty for a fit that succeeded
+        writer.writerows([repr(r.lambda1), repr(r.lambda2), repr(r.M), r.s_total,
+                          repr(r.nll), repr(r.hbic), r.error or ""] for r in results)
     _write_fit_artifacts(out, best_est, best_config)
     return 0
 

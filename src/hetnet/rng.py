@@ -116,9 +116,6 @@ class Rng:
                 v[j] = u
         return v
 
-    def poisson(self, lam: float) -> int:
-        return int(self.poissons([lam])[0])
-
     def poissons(self, rates) -> np.ndarray:
         """One draw of the pinned sampler per rate, in order, as int64.
 

@@ -6,7 +6,6 @@ at its stated tolerance, and each test prints one summary line so the suite
 log doubles as a scorecard.
 """
 
-import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
 
@@ -77,50 +76,29 @@ def _rep_data(setting, n, p, base_seed, rep, z):
 
 # ------------------------------------------------- criteria 1, 2, 4 fixture
 
-def _linear_baselines(sender):
-    """MLE and MLE+Lasso on every linear replication, sent one per rep."""
-    for rep in range(LIN_R):
-        X, _, A = _rep_data("linear", LIN_N, LIN_P, LIN_SEED, rep, LIN_BASE.z_n)
-        sender.send((mle_fit(A, LIN_BASE.z_n),
-                     two_stage_select(A, X, LIN_BASE.z_n)))
-    sender.close()
-
-
 @pytest.fixture(scope="module")
 def linear_runs():
     grid = [(l1, l2, LIN_BASE.M) for l1 in LIN_GRID for l2 in LIN_GRID]
     rows = []
     t0 = time.monotonic()
-    # the baselines are serial, so they run in one child process beside
-    # the grid searches' pools; a plain forked process keeps the parent
-    # free of threads when grid_search forks its workers
-    ctx = multiprocessing.get_context("fork")
-    receiver, sender = ctx.Pipe(duplex=False)
-    worker = ctx.Process(target=_linear_baselines, args=(sender,))
-    worker.start()
-    sender.close()
-    try:
-        for rep in range(LIN_R):
-            X, truth, A = _rep_data("linear", LIN_N, LIN_P, LIN_SEED, rep,
-                                    LIN_BASE.z_n)
-            cfg, est, results = grid_search(A, X, LIN_BASE, grid, jobs=4)
-            m, (s_alpha_l, s_beta_l, alpha_l, beta_l) = receiver.recv()
-            a0 = np.asarray(truth.alpha0)
-            rows.append({
-                "est": est,
-                "rep": rep,
-                "h_mse": float(np.mean((est.alpha_hat - a0) ** 2)),
-                "m_mse": float(np.mean((m.alpha_hat - a0) ** 2)),
-                "l_mse": float(np.mean((alpha_l - a0) ** 2)),
-                "alpha_sel": selection_metrics(est.s_alpha, truth.a_alpha),
-                "beta_sel": selection_metrics(est.s_beta, truth.a_beta),
-                "lasso_alpha_sel": selection_metrics(s_alpha_l, truth.a_alpha),
-            })
-    finally:
-        if worker.is_alive():
-            worker.kill()
-        worker.join()
-        receiver.close()
+    for rep in range(LIN_R):
+        X, truth, A = _rep_data("linear", LIN_N, LIN_P, LIN_SEED, rep,
+                                LIN_BASE.z_n)
+        cfg, est, results = grid_search(A, X, LIN_BASE, grid, jobs=4)
+        m = mle_fit(A, LIN_BASE.z_n)
+        s_alpha_l, s_beta_l, alpha_l, beta_l = two_stage_select(
+            A, X, LIN_BASE.z_n)
+        a0 = np.asarray(truth.alpha0)
+        rows.append({
+            "est": est,
+            "rep": rep,
+            "h_mse": float(np.mean((est.alpha_hat - a0) ** 2)),
+            "m_mse": float(np.mean((m.alpha_hat - a0) ** 2)),
+            "l_mse": float(np.mean((alpha_l - a0) ** 2)),
+            "alpha_sel": selection_metrics(est.s_alpha, truth.a_alpha),
+            "beta_sel": selection_metrics(est.s_beta, truth.a_beta),
+            "lasso_alpha_sel": selection_metrics(s_alpha_l, truth.a_alpha),
+        })
     return {"rows": rows, "minutes": (time.monotonic() - t0) / 60.0}
 
 

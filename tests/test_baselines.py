@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hetnet import CountNetwork, mle_fit, two_stage_select
-from hetnet.baselines import _cd_path_step, _lasso_stage, _standardize
+from hetnet.baselines import _lasso_path, _lasso_stage, _standardize
 
 
 def _uniform_network(n: int, c: int) -> CountNetwork:
@@ -146,7 +147,7 @@ def test_mle_validation():
 
 def _lasso(X, y, lam):
     """A single lasso fit: the path solver on a one-entry grid."""
-    return _lasso_stage(np.asarray(X, dtype=np.float64), y, [lam], 1000, 1e-10)
+    return _lasso_stage(_standardize(np.asarray(X, dtype=np.float64)), y, [lam])
 
 
 def _standardized(X):
@@ -224,57 +225,146 @@ def test_lasso_constant_column_gets_zero():
     assert 0 not in selected
 
 
-def _reference_cd_path_step(xs, live, lam, beta, r, max_iter, tol, n):
-    """Coordinate descent on float64 array entries, one numpy scalar at a
-    time: the reference the solver must match bit for bit."""
+def _cd_path_step(xs, live, lam, beta, r, max_iter, tol, n):
+    """Cyclic coordinate descent on standardized data; beta and r update in place.
 
-    def soft(x, t):
-        return x - t if x > t else (x + t if x < -t else 0.0)
+    Full sweeps alternate with sweeps over the current active set, the
+    usual pathwise speedup; each coordinate update is an exact 1-d
+    minimization so the objective never increases.  While the sweeps run
+    the coefficients are Python floats and the column views are made
+    once: both round exactly as the float64 array entries would, without
+    the per-coordinate numpy scalar and slicing overhead.
+    """
+    live_idx = np.nonzero(live)[0].tolist()
+    cols = [xs[:, j] for j in range(xs.shape[1])]
+    coef = beta.tolist()
+    step_col = np.empty_like(r)
 
-    def sweep(indices):
+    def sweep(indices) -> float:
         worst = 0.0
         for j in indices:
-            old = beta[j]
-            col = xs[:, j]
-            new = soft(old + (col @ r) / n, lam)
+            old = coef[j]
+            col = cols[j]
+            # soft-threshold the coordinate's least-squares value at lam
+            z = old + float(np.dot(col, r)) / n
+            new = z - lam if z > lam else (z + lam if z < -lam else 0.0)
             if new != old:
-                r[:] = r - (new - old) * col
-                beta[j] = new
-                worst = max(worst, abs(new - old))
+                step = new - old
+                np.multiply(step, col, out=step_col)
+                np.subtract(r, step_col, out=r)
+                coef[j] = new
+                if abs(step) > worst:
+                    worst = abs(step)
         return worst
 
+    converged = False
     sweeps = 0
-    while sweeps < max_iter:
-        worst = sweep(np.nonzero(live)[0])
+    while sweeps < max_iter and not converged:
+        worst = sweep(live_idx)
         sweeps += 1
-        if worst < tol:
-            return True
-        while sweeps < max_iter:
-            worst = sweep(np.nonzero(beta)[0])
+        converged = worst < tol
+        while sweeps < max_iter and not converged:
+            worst = sweep([j for j, v in enumerate(coef) if v != 0.0])
             sweeps += 1
             if worst < tol:
                 break
-    return False
+    beta[:] = coef
+    return converged
 
 
-@pytest.mark.parametrize("n, p, max_iter", [(30, 12, 1000), (20, 45, 25)])
-def test_cd_path_matches_reference_bit_for_bit(n, p, max_iter):
-    # p > n with a short sweep budget leaves the small penalties unconverged
-    rng = np.random.default_rng(n + p)
+@pytest.mark.parametrize("n, p, seed", [(30, 12, 0), (40, 25, 1), (20, 45, 2),
+                                        (25, 60, 3)])
+def test_path_matches_coordinate_descent_where_it_converged(n, p, seed):
+    # the coordinate-descent solver the homotopy replaced, warm-started down
+    # the default path with its old budget; p > n leaves tail points
+    # unconverged, and only converged points are compared
+    rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, p))
-    X[:, 3] = 1.0  # a constant column stays out of every sweep
-    y = X[:, :4] @ np.array([1.5, -2.0, 0.0, 0.7]) + rng.normal(size=n)
-    xs, live = _standardize(X)
-    lam_max = float(np.abs(xs.T @ (y - y.mean())).max()) / n
-    beta, r = np.zeros(p), y - y.mean()
-    ref_beta, ref_r = beta.copy(), r.copy()
-    for lam in np.geomspace(lam_max, 1e-3 * lam_max, 8):
-        got = _cd_path_step(xs, live, lam, beta, r, max_iter, 1e-9, n)
-        want = _reference_cd_path_step(xs, live, lam, ref_beta, ref_r,
-                                       max_iter, 1e-9, n)
-        assert got == want
-        assert np.array_equal(beta, ref_beta)
-        assert np.array_equal(r, ref_r)
+    X[:, 3] = 1.0  # a constant column stays out of every fit
+    y = X[:, :5] @ np.array([1.5, -2.0, 0.0, 0.0, 0.7]) + rng.normal(size=n)
+    xs = _standardize(X)
+    live = X.std(axis=0) > 1e-12
+    yc = y - y.mean()
+    lam_max = float(np.abs(xs.T @ yc).max()) / n
+    grid = np.geomspace(lam_max, 1e-3 * lam_max, 50).tolist()
+    beta, r = np.zeros(p), yc.copy()
+    compared = 0
+    for lam, path_beta in _lasso_path(xs, yc, grid):
+        if not _cd_path_step(xs, live, lam, beta, r, 1000, 1e-9, n):
+            continue
+        compared += 1
+        assert set(np.flatnonzero(np.abs(path_beta) > 1e-12)) == \
+            set(np.flatnonzero(np.abs(beta) > 1e-12)), lam
+        # coordinate descent stops once its largest step is below 1e-9,
+        # which leaves its fit up to about 1e-8 of the response's scale off
+        np.testing.assert_allclose(xs @ path_beta, yc - r, rtol=0,
+                                   atol=1e-8 * float(np.abs(yc).max()))
+    assert compared >= 30
+
+
+def _kkt_gap(xs, yc, lam, beta):
+    """Largest violation of the lasso stationarity conditions at beta."""
+    n = yc.shape[0]
+    c = xs.T @ (yc - xs @ beta) / n
+    on = beta != 0.0
+    gap_on = np.abs(c[on] - lam * np.sign(beta[on])).max(initial=0.0)
+    gap_off = (np.abs(c[~on]) - lam).max(initial=0.0)
+    return max(gap_on, gap_off)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(4, 30),
+       p=st.integers(1, 45), constant=st.booleans(), duplicate=st.booleans(),
+       fractions=st.lists(st.floats(0.0, 1.5), min_size=1, max_size=12))
+def test_path_points_satisfy_kkt(seed, n, p, constant, duplicate, fractions):
+    # p < n and p > n, lam = 0 and lam above lam_max, with a constant and a
+    # duplicated column mixed in; the penalties come in any order, repeated
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, p))
+    if constant:
+        X[:, -1] = 2.5
+    if duplicate and p > 1:
+        X[:, 0] = X[:, 1]
+    y = X[:, :3] @ rng.normal(size=min(p, 3)) + rng.normal(size=n)
+    xs = _standardize(X)
+    yc = y - y.mean()
+    lam_max = float(np.abs(xs.T @ yc).max()) / n
+    grid = [f * lam_max for f in fractions] + [0.0, 1.5 * lam_max]
+    lams = sorted(set(grid), reverse=True)
+    solutions = dict(_lasso_path(xs, yc, lams))
+    assert list(solutions) == lams
+    for lam, beta in solutions.items():
+        assert _kkt_gap(xs, yc, lam, beta) <= 1e-9 * lam_max, lam
+        assert np.count_nonzero(beta) <= min(n - 1, p)
+        if constant:
+            assert beta[-1] == 0.0
+        if lam >= lam_max:
+            assert not beta.any()
+        # each penalty's solution is the same whatever else the grid holds
+        (_, alone), = _lasso_path(xs, yc, [lam])
+        assert np.array_equal(alone, beta)
+    # repeats later in the grid change nothing: a tied score goes to the
+    # earlier entry, and every entry of a penalty has the same solution
+    shuffled = [grid[i] for i in rng.permutation(len(grid))]
+    want = _lasso_stage(xs, y, grid)
+    got = _lasso_stage(xs, y, grid + shuffled)
+    assert got[0] == want[0]
+    assert np.array_equal(got[1], want[1])
+
+
+def test_default_path_selects_fewer_features_than_nodes():
+    # criterion-1 replication 0: the lasso's active set is at most n - 1
+    # columns of the centred design, and the unconverged coordinate descent
+    # returned 102 alpha and 100 beta features here
+    from hetnet.rng import derive_seed, seed_for
+    from hetnet.simbench import gen_attributes, linear_truth, sample_network
+
+    seed = derive_seed(1234, 0)
+    X = gen_attributes(100, 200, seed_for("attributes", seed))
+    A = sample_network(linear_truth(X, 10.0), seed_for("network", seed))
+    s_alpha, s_beta, _, _ = two_stage_select(A, X, z_n=10.0)
+    assert 0 < len(s_alpha) <= 99
+    assert 0 < len(s_beta) <= 99
 
 
 # --------------------------------------------------------- two_stage_select

@@ -197,8 +197,9 @@ def test_tune_singleton_matches_fit(dataset, fitted, tmp_path):
     assert _read(tmp_path / "estimate.json") == _read(fitted / "estimate.json")
     assert _read(tmp_path / "model_alpha.json") == _read(fitted / "model_alpha.json")
     lines = (tmp_path / "tuning.csv").read_text().splitlines()
-    assert lines[0] == "lambda1,lambda2,M,s_total,nll,hbic"
+    assert lines[0] == "lambda1,lambda2,M,s_total,nll,hbic,error"
     assert len(lines) == 2
+    assert lines[1].endswith(",")  # the fit succeeded: no error
 
 
 def test_tune_jobs_do_not_change_output(dataset, tmp_path):
@@ -218,6 +219,41 @@ def test_tune_jobs_do_not_change_output(dataset, tmp_path):
         outs.append(out)
     assert _read(outs[0] / "tuning.csv") == _read(outs[1] / "tuning.csv")
     assert _read(outs[0] / "estimate.json") == _read(outs[1] / "estimate.json")
+
+
+def test_tune_writes_fit_errors(dataset, tmp_path, monkeypatch):
+    # one grid entry diverges: its row carries the error, CSV-quoted, and
+    # the other entries still compete; --jobs 4 forks the patched module
+    import hetnet.optimizer as optimizer_mod
+
+    real_fit = optimizer_mod.fit
+
+    def fit(A, X, config):
+        if config.lambda1 == 8.0 and config.lambda2 == 4.0:
+            raise optimizer_mod.FitDivergenceError('side alpha diverged, "rho" spent')
+        return real_fit(A, X, config)
+
+    monkeypatch.setattr(optimizer_mod, "fit", fit)
+    cfg = _write_config(tmp_path / "config.json", **FAST_FIT)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([
+        {"lambda1": l1, "lambda2": l2, "M": 0.5}
+        for l1 in (4.0, 8.0) for l2 in (4.0, 8.0)]))
+    outs = []
+    for jobs in ("1", "4"):
+        out = tmp_path / f"jobs{jobs}"
+        rc = main(["tune", "--edges", str(dataset / "edges.csv"),
+                   "--attributes", str(dataset / "attributes.csv"),
+                   "--config", cfg, "--grid", str(grid),
+                   "--jobs", jobs, "--out", str(out)])
+        assert rc == 0
+        outs.append(out)
+    lines = (outs[0] / "tuning.csv").read_text().splitlines()
+    assert lines[0] == "lambda1,lambda2,M,s_total,nll,hbic,error"
+    assert lines[3] == '8.0,4.0,0.5,0,nan,inf,"side alpha diverged, ""rho"" spent"'
+    assert all(line.endswith(",") for line in lines[1:3] + lines[4:])
+    for name in ("tuning.csv", "estimate.json", "model_alpha.json", "fit_log.csv"):
+        assert _read(outs[0] / name) == _read(outs[1] / name)
 
 
 def test_tune_rejects_malformed_grid(dataset, tmp_path):
