@@ -132,6 +132,9 @@ def _backward_from_activations(net, x2d, pre, post, upstream) -> NetGradients:
     ``pre`` and ``post`` come from :func:`_forward_activations` on the
     same net and batch; ``upstream[i]`` is the loss derivative at the
     i-th output.  The skip path is linear, so d_theta = X' upstream.
+    With no hidden layers the output layer's weight gradient is that same
+    product of X (BLAS returns the same bits for ``upstream' X``), so it
+    is computed once and the layer gets a copy, never an alias.
     Inputs are not validated.
     """
     d_theta = x2d.T @ upstream
@@ -139,8 +142,8 @@ def _backward_from_activations(net, x2d, pre, post, upstream) -> NetGradients:
     if net.layers:
         dz = upstream[:, np.newaxis]  # gradient at final pre-activation
         for i in range(len(net.layers) - 1, -1, -1):
-            a_prev = post[i]
-            d_layers[i] = Layer(dz.T @ a_prev, dz.sum(axis=0))
+            d_w = d_theta[np.newaxis].copy() if len(net.layers) == 1 else dz.T @ post[i]
+            d_layers[i] = Layer(d_w, dz.sum(axis=0))
             if i > 0:
                 da = dz @ net.layers[i].weights
                 dz = da * (pre[i - 1] > 0.0)

@@ -1,5 +1,9 @@
 import csv
 import io
+import tempfile
+import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -207,6 +211,213 @@ def test_loaders_close_the_files_they_open(tmp_path, monkeypatch, loader, good, 
     stream = io.StringIO(good)
     loader(stream)
     assert not stream.closed
+
+
+def _csv_writer_edge_list(net, stream):
+    """write_edge_list as it was on csv.writer, kept as the byte reference."""
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(["src", "dst", "count"])
+    for s, d, c in net.edges():
+        writer.writerow([s, d, c])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_edge_lists(), st.sampled_from([1, 2, 5, 1 << 16]))
+@example((3, [(0, 1, 2 ** 62), (2, 0, 9), (1, 2, 2 ** 53 + 1)]), 2)
+@example((2, []), 1)
+def test_write_edge_list_matches_csv_writer(case, block_rows):
+    n, edges = case
+    net = CountNetwork.from_edges(n, edges)
+    ref = io.StringIO()
+    _csv_writer_edge_list(net, ref)
+    buf = io.StringIO()
+    with mock.patch.object(netdata_mod, "_WRITE_BLOCK_ROWS", block_rows):
+        write_edge_list(net, buf)
+    assert buf.getvalue() == ref.getvalue()
+
+
+# ------------------------------------------- bulk parse and per-line loop
+
+def _per_line_only():
+    """Make every bulk parse fail, so the loaders run only their per-line loop."""
+    return mock.patch.object(netdata_mod.np, "loadtxt",
+                             side_effect=ValueError("bulk parse switched off"))
+
+
+def _outcome(loader, text, as_path, tmp, **kwargs):
+    """What a loader returns for ``text`` (as bytes and names), or its error text."""
+    if as_path:
+        source = Path(tmp) / "in.csv"
+        with open(source, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    else:
+        source = io.StringIO(text)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = loader(source, **kwargs)
+    except NetworkDataError as exc:
+        return "error", str(exc)
+    if isinstance(got, CountNetwork):
+        return got.n, got.src.tobytes(), got.dst.tobytes(), got.count.tobytes()
+    return got.names, got.values.shape, got.values.tobytes()
+
+
+def _both_paths_agree(loader, text, as_path, **kwargs):
+    with tempfile.TemporaryDirectory() as tmp:
+        got = _outcome(loader, text, as_path, tmp, **kwargs)
+        with _per_line_only():
+            want = _outcome(loader, text, as_path, tmp, **kwargs)
+    assert got == want
+
+
+_ARABIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
+def _decorate(text, how):
+    """A cell that int() or float() reads as ``text`` does, spelled another way."""
+    if how == "plus" and not text.startswith("-"):
+        return "+" + text
+    if how == "zeros":
+        return ("-" if text.startswith("-") else "") + "00" + text.lstrip("-")
+    if how == "spaces":
+        return f" {text}\t"
+    if how == "underscore" and len(text.lstrip("-")) > 1 and text[-2].isdigit():
+        return text[:-1] + "_" + text[-1]
+    if how == "quoted":
+        return f'"{text}"'
+    if how == "arabic":
+        return text.translate(_ARABIC)
+    return text
+
+
+# spellings that np.loadtxt reads as int() and float() do, and the rest
+_BULK_SPELLINGS = ["plain"] * 4 + ["plus", "zeros", "spaces"]
+_LOOP_SPELLINGS = ["underscore", "quoted", "arabic"]
+
+
+@st.composite
+def _csv_body(draw, cells, clean):
+    """Data rows and blank lines; unless ``clean``, also ragged rows and
+    whitespace-only and '#' lines.  ``cells`` holds one strategy per column."""
+    kinds = ["row"] * 8 + ["blank"] + ([] if clean else ["ragged", "spaces", "hash"])
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(kinds))
+        if kind in ("row", "ragged"):
+            k = len(cells) + (0 if kind == "row" else draw(st.sampled_from([-1, 1])))
+            lines.append(",".join(draw(cells[min(j, len(cells) - 1)])
+                                  for j in range(max(k, 1))))
+        else:
+            lines.append({"blank": "", "spaces": " \t ", "hash": "# note"}[kind])
+    return lines
+
+
+def _join(draw, header, lines):
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join([header] + lines) + draw(st.sampled_from(["", eol, eol + eol]))
+
+
+# values past int64 in every column; the largest int64 values only as counts
+_PAST_INT64 = [2 ** 63, -2 ** 63 - 1, 10 ** 25]
+
+
+@st.composite
+def _edge_cell(draw, clean, large):
+    if clean:
+        return _decorate(str(draw(st.integers(0, 12))), draw(st.sampled_from(_BULK_SPELLINGS)))
+    value = draw(st.integers(-2, 12) | st.sampled_from(_PAST_INT64 + large))
+    how = draw(st.sampled_from(_BULK_SPELLINGS + _LOOP_SPELLINGS + ["float"]))
+    return str(value) + ".0" if how == "float" else _decorate(str(value), how)
+
+
+@st.composite
+def _edge_files(draw):
+    """Edge CSV text and a declared n; ``clean`` files hold only cells and
+    lines that np.loadtxt parses, but may still break the row checks."""
+    clean = draw(st.booleans())
+    header = draw(st.sampled_from(["src,dst,count"] * 4 + [
+        " src , dst,count ", '"src",dst,count', "src,dst", "from,to,count"]))
+    index = _edge_cell(clean, [1000])
+    body = draw(_csv_body([index, index, _edge_cell(clean, [2 ** 40])], clean))
+    return _join(draw, header, body), draw(st.none() | st.integers(1, 14))
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_edge_files(), as_path=st.booleans())
+@example(case=("src,dst,count\n", 4), as_path=False)
+@example(case=("src,dst,count\r\n", 4), as_path=True)
+@example(case=("src,dst,count\n0,1,2\r\n2, +01 ,3\n\n \n", None), as_path=True)
+@example(case=("src,dst,count\n0,1,1\n1,0,9223372036854775808\n", None), as_path=False)
+@example(case=("src,dst,count\n0,1,1_000\n", 3), as_path=True)
+def test_edge_list_bulk_and_per_line_agree(case, as_path):
+    text, n = case
+    _both_paths_agree(load_edge_list, text, as_path, n=n)
+
+
+@st.composite
+def _attribute_cell(draw, clean):
+    value = draw(st.floats(allow_nan=False, allow_infinity=False)
+                 | st.sampled_from([0.0, -0.0, 5e-324, 1000.5, 7.25, -3.0]))
+    if not clean:
+        special = draw(st.sampled_from([None] * 8 + [
+            "nan", "inf", "-Infinity", "1e999", "", "1.5.2"]))
+        if special is not None:
+            return special
+    spellings = _BULK_SPELLINGS + ([] if clean else _LOOP_SPELLINGS)
+    return _decorate(repr(value), draw(st.sampled_from(spellings)))
+
+
+@st.composite
+def _attribute_files(draw):
+    clean = draw(st.booleans())
+    names = draw(st.lists(st.text(alphabet='ab1 ,"', min_size=1, max_size=5),
+                          min_size=1, max_size=4))
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow(names)
+    body = draw(_csv_body([_attribute_cell(clean)] * len(names), clean))
+    return _join(draw, buf.getvalue(), body)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_attribute_files(), as_path=st.booleans())
+@example(text="x1,x2\n", as_path=True)
+@example(text='"a,b", c \r\n1.5,-2\r\n\r\n +3 ,007.25\r\n', as_path=True)
+@example(text="x1\n1_000.5\n", as_path=False)
+@example(text="x1,x2\nnan,1\n", as_path=False)
+@example(text="x1,x2\n1,2\n3\n", as_path=True)
+def test_attributes_bulk_and_per_line_agree(text, as_path):
+    _both_paths_agree(load_attributes, text, as_path)
+
+
+def test_clean_files_take_the_bulk_path(tmp_path):
+    edges = "src,dst,count\r\n0,1,2\r\n\r\n 2 , +01 ,0003\r\n"
+    attrs = " u ,v\r\n1.5, -2e-3\r\n\r\n+7,0.25\r\n"
+    loop_off = mock.patch.multiple(netdata_mod, _edge_rows=mock.DEFAULT,
+                                   _attribute_rows=mock.DEFAULT)
+    for source in (io.StringIO, lambda text: tmp_path / "in.csv"):
+        (tmp_path / "in.csv").write_text(edges, newline="")
+        with loop_off as loops:
+            net = load_edge_list(source(edges), n=3)
+        assert not any(loop.called for loop in loops.values())
+        assert list(net.edges()) == [(0, 1, 2), (2, 1, 3)]
+        (tmp_path / "in.csv").write_text(attrs, newline="")
+        with loop_off as loops:
+            x = load_attributes(source(attrs))
+        assert not any(loop.called for loop in loops.values())
+        assert x.names == ("u", "v")
+        assert x.values.tolist() == [[1.5, -2e-3], [7.0, 0.25]]
+
+
+def test_header_only_edge_file_warns_nothing(tmp_path):
+    path = tmp_path / "edges.csv"
+    path.write_text("src,dst,count\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for source in (path, io.StringIO("src,dst,count\n")):
+            net = load_edge_list(source, n=3)
+            assert net.n == 3
+            assert net.total_count == 0
 
 
 # --------------------------------------------------------- AttributeMatrix

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hetnet import (
     Layer,
@@ -126,6 +127,34 @@ def test_backward_skip_path_exact():
     u = np.random.default_rng(8).normal(size=5)
     grads = _backward(net, X, u)
     assert np.allclose(grads.d_theta, X.T @ u, rtol=0, atol=1e-14)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 1200), p=st.integers(1, 600), seed=st.integers(0, 2 ** 32 - 1))
+@example(n=1, p=1, seed=0)
+@example(n=1, p=500, seed=1)
+@example(n=1000, p=1, seed=2)
+@example(n=1000, p=500, seed=3)
+def test_backward_without_hidden_layers_shares_one_product(n, p, seed):
+    rng = np.random.default_rng(seed)
+    net = _random_net(p, (), seed=seed)
+    X = rng.normal(size=(n, p)) * rng.choice([1e-3, 1.0, 1e3])
+    u = rng.normal(size=n)
+    grads = _backward(net, X, u)
+    # the two products the backward pass computed before it shared one
+    old_d_theta = X.T @ u
+    dz = u[:, np.newaxis]
+    old_d_w = dz.T @ X
+    assert grads.d_theta.tobytes() == old_d_theta.tobytes()
+    (d_out,) = grads.d_layers
+    assert d_out.weights.shape == (1, p)
+    assert d_out.weights.tobytes() == old_d_w.tobytes()
+    assert d_out.biases.tobytes() == dz.sum(axis=0).tobytes()
+    # writing into one gradient leaves the other as it was
+    d_out.weights += 1.0
+    assert grads.d_theta.tobytes() == old_d_theta.tobytes()
+    grads.d_theta -= 1.0
+    assert d_out.weights.tobytes() == (old_d_w + 1.0).tobytes()
 
 
 def test_backward_shapes_match_parameters():
