@@ -19,7 +19,6 @@ from .netdata import (
 from .skipnet import (
     Layer,
     SkipLayerNet,
-    NetGradients,
     forward_batch,
     init_net,
     net_to_json_dict,

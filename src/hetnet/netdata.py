@@ -45,6 +45,8 @@ __all__ = [
 
 # rows of edge-list text that write_edge_list builds per write call
 _WRITE_BLOCK_ROWS = 1 << 16
+# the largest n whose src * n + dst pair keys fit in int64
+_MAX_NODES = math.isqrt(2**63 - 1)
 
 
 class NetworkDataError(ValueError):
@@ -80,10 +82,15 @@ class CountNetwork:
 
         Duplicate (src, dst) pairs are summed; zero-count results are
         dropped.  Raises :class:`NetworkDataError` on self-loops, negative
-        counts, or out-of-range indices, naming the first offending edge.
+        counts, or out-of-range indices, naming the first offending edge,
+        and on an n whose n*n overflows int64.
         """
         if n < 1:
             raise NetworkDataError(f"node count must be >= 1, got {n}")
+        if n > _MAX_NODES:
+            raise NetworkDataError(
+                f"node count {n} is too large: n*n must fit in a 64-bit integer"
+            )
         e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges),
                        dtype=np.int64).reshape(-1, 3)
         s, d, c = e.T
@@ -104,8 +111,11 @@ class CountNetwork:
         live = total > 0
         src, dst = np.divmod(keys[live], n)
         cnt = total[live]
-        out_deg = np.bincount(src, weights=cnt, minlength=n).astype(np.int64)
-        in_deg = np.bincount(dst, weights=cnt, minlength=n).astype(np.int64)
+        # int64 sums: float64 weights would round counts above 2**53
+        out_deg = np.zeros(n, dtype=np.int64)
+        np.add.at(out_deg, src, cnt)
+        in_deg = np.zeros(n, dtype=np.int64)
+        np.add.at(in_deg, dst, cnt)
         net = CountNetwork(n, src, dst, cnt, out_deg, in_deg)
         for arr in (net.src, net.dst, net.count, net.out_degree, net.in_degree):
             arr.setflags(write=False)

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field, replace
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -34,7 +33,7 @@ from .objective import (
 )
 from .rng import Rng
 from .skipnet import (
-    Layer,
+    FlatNet,
     SkipLayerNet,
     forward_batch,
     init_net,
@@ -159,8 +158,10 @@ def hierarchical_prox(w1: np.ndarray, theta: np.ndarray, tau: float, M: float):
     """Soft-threshold theta, then cap each w1 row's 2-norm at M*|theta_k|.
 
     ``w1`` has one row per input feature (the first layer seen
-    input-major).  A thresholded-to-zero coefficient zeroes its row; a
-    zero row is left alone.  Returns new arrays, inputs untouched.
+    input-major, as in :class:`FlatNet`'s block).  A thresholded-to-zero
+    coefficient zeroes its row; a zero row is left alone.  Row norms are
+    summed column by column in order, whatever the layout of ``w1``.
+    Returns new arrays, inputs untouched.
     """
     if tau < 0:
         raise ValueError("tau must be non-negative")
@@ -170,22 +171,30 @@ def hierarchical_prox(w1: np.ndarray, theta: np.ndarray, tau: float, M: float):
     w1 = np.asarray(w1, dtype=np.float64)
     if w1.shape[0] != theta.shape[0]:
         raise ValueError("w1 must have one row per theta entry")
-    theta_new = np.sign(theta) * np.maximum(np.abs(theta) - tau, 0.0)
-    norms = np.sqrt((w1 * w1).sum(axis=1))
-    cap = M * np.abs(theta_new)
-    scale = np.ones_like(norms)
-    live = norms > 0.0
-    scale[live] = np.minimum(1.0, cap[live] / norms[live])
+    shrunk = np.abs(theta)
+    shrunk -= tau
+    np.maximum(shrunk, 0.0, out=shrunk)  # |theta_new|
+    theta_new = np.sign(theta)
+    theta_new *= shrunk
+    norms = np.add.reduce(np.multiply(w1, w1, order="F"), axis=1)
+    np.sqrt(norms, out=norms)
+    cap = np.multiply(shrunk, M, out=shrunk)
+    # min(1, cap/norm) on rows over their cap; 1 elsewhere, zero rows too
+    scale = np.ones(norms.shape)
+    np.divide(cap, norms, out=scale, where=norms > cap)
     return w1 * scale[:, np.newaxis], theta_new
 
 
-def _prox_net(net: SkipLayerNet, tau: float, M: float) -> None:
-    w1t, theta_new = hierarchical_prox(net.layers[0].weights.T, net.theta, tau, M)
-    net.layers[0].weights = np.ascontiguousarray(w1t.T)
-    net.theta = theta_new
+def _projected(net: SkipLayerNet, M: float) -> SkipLayerNet:
+    """``net`` with the hierarchy constraint imposed (the prox at tau=0)."""
+    flat = FlatNet.from_net(net)
+    flat.w1[:], flat.theta[:] = hierarchical_prox(flat.w1, flat.theta, 0.0, M)
+    return flat.to_net()
 
 
 def _hierarchy_gap(net: SkipLayerNet, M: float) -> float:
+    if not net.layers:
+        return -math.inf
     norms = np.sqrt((net.layers[0].weights ** 2).sum(axis=0))
     return float((norms - M * np.abs(net.theta)).max())
 
@@ -207,23 +216,27 @@ def update_side(
 
     The other side's fitted values stay frozen at ``fixed_vals``; the
     quadratic identifiability penalty pulls this side's sum toward the
-    frozen side's sum.  Each trial step costs one forward pass and one
-    loss-and-gradient evaluation; the backward pass runs once per point
-    a step is taken from.  A step is accepted when the composite
-    objective (smooth loss + L1) stays within 1e-9*max(1, |composite|)
-    of where it was; otherwise the saved parameters are restored, the
-    saved activations, loss and gradients of the point it left are
-    reused, and the step is retried with rho halved.  rho recovers after
-    accepted steps.  After 10 consecutive halvings the update ends with
-    one rule: if the last trial raised the composite by at most
-    1e-3*max(1, |composite|), the net sits at a fixed point of the
-    prox-gradient map and the loop stops early; a larger, infinite or
-    NaN increase raises FitDivergenceError.  A result that breaks the
-    hierarchy constraint raises HierarchyViolationError.
+    frozen side's sum.  Training keeps two :class:`FlatNet` points,
+    current and trial.  A trial step is one vector operation on the flat
+    buffer, one :func:`hierarchical_prox` call on the block's rows, one
+    forward pass and one loss-and-gradient evaluation; the backward pass
+    runs once per point a step is taken from.  A step is accepted, by
+    swapping the two points, when the composite objective (smooth loss +
+    L1) stays within 1e-9*max(1, |composite|) of where it was; otherwise
+    the step is retried from the unchanged current point with rho
+    halved.  rho recovers after accepted steps.  After 10 consecutive
+    halvings the update ends with one rule: if the last trial raised the
+    composite by at most 1e-3*max(1, |composite|), the net sits at a
+    fixed point of the prox-gradient map and the loop stops early; a
+    larger, infinite or NaN increase raises FitDivergenceError.  A
+    result that breaks the hierarchy constraint raises
+    HierarchyViolationError.
 
     Returns (fitted values, updated net, smooth-loss trace).  The trace
     has up to inner_epochs+1 entries, entry 0 being the loss at entry;
-    the input net is not mutated.
+    the input net is not mutated.  The fitted values come from the
+    training forward pass (BLAS): deterministic from run to run, equal to
+    :func:`forward_batch`'s up to rounding.
     """
     if side not in ("alpha", "beta"):
         raise ValueError(f"side must be 'alpha' or 'beta', got {side!r}")
@@ -231,57 +244,58 @@ def update_side(
         raise ValueError("inner_epochs must be non-negative")
     fixed = _check_values(fixed_vals, A, z_n)
     target_sum = float(fixed.sum())
-    x2d = getattr(X, "values", X)
-    # every step builds new arrays and Layer objects, so a rejected step
-    # is undone by putting the saved references back
-    net = net.copy()
+    x2d = np.asarray(getattr(X, "values", X), dtype=np.float64)
+    n = x2d.shape[0]
+    cur = FlatNet.from_net(net, n)
+    trial = FlatNet(cur.p, cur.widths, n)
+    grad = FlatNet(cur.p, cur.widths, n)
 
     side_loss = _SideLoss(fixed, A, z_n, side)
 
     def loss_and_upstream(vals: np.ndarray):
-        """Smooth loss and its gradient w.r.t. the fitted values."""
-        if not np.all(np.isfinite(vals)):
-            return np.inf, None
+        """Smooth loss and its gradient w.r.t. the fitted values.
+
+        The kernel's loss is non-finite for any non-finite value.
+        """
         nll, d_nll = side_loss(vals)
-        if not np.isfinite(nll):
+        if not math.isfinite(nll):
             return np.inf, None
         ident, d_ident = identifiability_penalty(vals, target_sum, gamma)
-        return nll + ident, d_nll + d_ident
+        d_nll += d_ident
+        return nll + ident, d_nll
 
-    pre, post, vals = _forward_activations(net, x2d)
+    vals = _forward_activations(cur, x2d)
     loss, upstream = loss_and_upstream(vals)
     trace = [loss]
     if inner_epochs == 0:
-        return vals, net, np.asarray(trace)
+        return vals, cur.to_net(), np.asarray(trace)
     if not np.isfinite(loss):
         raise FitDivergenceError(f"{side} update entered with non-finite loss")
 
     # the descent safeguard compares the composite objective (smooth +
     # L1), since a prox step may raise the smooth part while lowering
     # the composite
-    composite = loss + lam * float(np.abs(net.theta).sum())
+    composite = loss + lam * float(np.abs(cur.theta).sum())
     rho_full = rho
     halvings = 0
-    grads = None
+    stale_grad = True
     epoch = 0
     while epoch < inner_epochs:
-        if grads is None:
-            grads = _backward_from_activations(net, x2d, pre, post, upstream)
+        if stale_grad:
+            _backward_from_activations(cur, x2d, upstream, grad)
+            stale_grad = False
 
-        saved = (net.theta, net.layers)
-        net.theta = net.theta - rho * grads.d_theta
-        net.layers = [
-            Layer(layer.weights - rho * g.weights, layer.biases - rho * g.biases)
-            for layer, g in zip(net.layers, grads.d_layers)
-        ]
-        _prox_net(net, rho * lam, M)
+        np.multiply(grad.flat, rho, out=trial.flat)
+        np.subtract(cur.flat, trial.flat, out=trial.flat)
+        w1, theta = hierarchical_prox(trial.w1, trial.theta, rho * lam, M)
+        trial.w1[:] = w1
+        trial.theta[:] = theta
 
-        trial_pre, trial_post, trial_vals = _forward_activations(net, x2d)
+        trial_vals = _forward_activations(trial, x2d)
         new_loss, new_upstream = loss_and_upstream(trial_vals)
-        new_composite = new_loss + lam * float(np.abs(net.theta).sum())
+        new_composite = new_loss + lam * float(np.abs(theta).sum())
         # written so that a NaN composite is rejected too
         if not new_composite <= composite + 1e-9 * max(1.0, abs(composite)):
-            net.theta, net.layers = saved
             halvings += 1
             if halvings > _MAX_RHO_HALVINGS:
                 # an increase this small after ten halvings is rounding
@@ -296,14 +310,16 @@ def update_side(
                 )
             rho *= 0.5
             continue
-        pre, post, vals = trial_pre, trial_post, trial_vals
-        loss, upstream, grads = new_loss, new_upstream, None
+        cur, trial = trial, cur
+        vals, loss, upstream = trial_vals, new_loss, new_upstream
+        stale_grad = True
         composite = new_composite
         trace.append(loss)
         epoch += 1
         halvings = 0
         rho = min(2.0 * rho, rho_full)
 
+    net = cur.to_net()
     gap = _hierarchy_gap(net, M)
     if not gap <= 1e-9 * max(1.0, M):
         raise HierarchyViolationError(
@@ -339,11 +355,9 @@ def fit(A: CountNetwork, X, config: FitConfig) -> HeterogeneityEstimate:
     widths_beta = config.hidden_widths_beta or config.hidden_widths
 
     rng = Rng(config.seed)
-    net_alpha = init_net(p, config.hidden_widths, rng)
-    net_beta = init_net(p, widths_beta, rng)
-    # tau=0 projection so the hierarchy constraint holds from the start
-    _prox_net(net_alpha, 0.0, config.M)
-    _prox_net(net_beta, 0.0, config.M)
+    # projected so the hierarchy constraint holds from the start
+    net_alpha = _projected(init_net(p, config.hidden_widths, rng), config.M)
+    net_beta = _projected(init_net(p, widths_beta, rng), config.M)
 
     alpha_vals = forward_batch(net_alpha, xmat)
     beta_vals = forward_batch(net_beta, xmat)
@@ -457,6 +471,9 @@ def grid_search(A: CountNetwork, X, base_config: FitConfig, grid, jobs: int = 1)
 
     tasks = [(A, xmat, base_config, triple) for triple in grid]
     if jobs > 1:
+        # imported here: loading multiprocessing costs every serial run
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             fits = list(pool.map(_fit_one_triple, tasks))
     else:

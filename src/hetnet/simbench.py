@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -320,6 +319,9 @@ def run_replications(setting: str, n: int, p: int, R: int, methods, base_seed: i
     tasks = [(setting, n, p, r, base_seed, method_names, config, z_n)
              for r in range(1, R + 1)]
     if jobs > 1:
+        # imported here: loading multiprocessing costs every serial run
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_run_one_replication, tasks))
     else:

@@ -37,7 +37,7 @@ from hetnet.simbench import (
     sample_network,
     selection_metrics,
 )
-from hetnet.skipnet import _backward_from_activations, _forward_activations
+from hetnet.skipnet import FlatNet, _backward_from_activations, _forward_activations
 
 # frozen linear benchmark (criteria 1, 2, 4)
 LIN_N, LIN_P, LIN_R = 100, 200, 10
@@ -207,8 +207,12 @@ def _away_from_kinks(net, X, margin: float = 1e-3) -> bool:
 
 
 def _fd_backward_error(net, X, upstream, h=1e-6):
-    pre, post, _ = _forward_activations(net, X)
-    grads = _backward_from_activations(net, X, pre, post, upstream)
+    # the backward pass the trainer runs, its gradient shaped like net
+    flat = FlatNet.from_net(net, X.shape[0])
+    _forward_activations(flat, X)
+    grad = FlatNet(flat.p, flat.widths, X.shape[0])
+    _backward_from_activations(flat, X, upstream, grad)
+    grads = grad.to_net()
 
     def loss():
         return float(upstream @ forward_batch(net, X))
@@ -229,8 +233,8 @@ def _fd_backward_error(net, X, upstream, h=1e-6):
             scale = max(1.0, abs(fd))
             worst = max(worst, abs(gflat[idx] - fd) / scale)
 
-    check(net.theta, grads.d_theta)
-    for layer, glayer in zip(net.layers, grads.d_layers):
+    check(net.theta, grads.theta)
+    for layer, glayer in zip(net.layers, grads.layers):
         check(layer.weights, glayer.weights)
         check(layer.biases, glayer.biases)
     return worst
@@ -292,22 +296,23 @@ def test_criterion_6_gradient_correctness():
 
 def test_criterion_7_prox_contract(monkeypatch):
     seen = {"calls": 0, "worst": -np.inf}
-    original = optimizer_mod._prox_net
+    original = optimizer_mod.hierarchical_prox
 
-    def checked(net, tau, M):
-        original(net, tau, M)
+    def checked(w1, theta, tau, M):
+        w1_new, theta_new = original(w1, theta, tau, M)
         seen["calls"] += 1
-        norms = np.sqrt((net.layers[0].weights ** 2).sum(axis=0))
-        gap = float((norms - M * np.abs(net.theta)).max())
+        norms = np.sqrt((w1_new ** 2).sum(axis=1))
+        gap = float((norms - M * np.abs(theta_new)).max())
         seen["worst"] = max(seen["worst"], gap)
+        return w1_new, theta_new
 
-    monkeypatch.setattr(optimizer_mod, "_prox_net", checked)
+    monkeypatch.setattr(optimizer_mod, "hierarchical_prox", checked)
     X, truth, A = _rep_data("linear", 25, 10, 77, 0, 5.0)
     cfg = FitConfig(lambda1=1.5, lambda2=1.5, M=1.5, rho=2e-3, z_n=5.0,
                     inner_epochs=120, t_max_outer=3, hidden_widths=(4, 2),
                     seed=9)
     fit(A, X, cfg)
-    monkeypatch.setattr(optimizer_mod, "_prox_net", original)
+    monkeypatch.setattr(optimizer_mod, "hierarchical_prox", original)
 
     rng = np.random.default_rng(707)
     theta = rng.uniform(-2.0, 2.0, size=10_000)

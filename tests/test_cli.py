@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +44,20 @@ def fitted(tmp_path_factory, dataset):
                "--config", cfg, "--out", str(out)])
     assert rc == 0
     return out
+
+
+# ------------------------------------------------------------------ import
+
+def test_import_does_not_load_multiprocessing():
+    # process pools are imported only where --jobs > 1 asks for one
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, hetnet, hetnet.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 # ---------------------------------------------------------------- simulate

@@ -8,7 +8,7 @@ from hetnet import (
     shapley_importance,
 )
 from hetnet.importance import _BUFFER_BYTES, _ranks
-from hetnet.optimizer import _prox_net
+from hetnet.optimizer import _projected
 from hetnet.rng import seed_for
 
 
@@ -28,8 +28,7 @@ def _sparse_mlp_net(p: int, live, seed: int = 3):
     net = init_net(p, (5, 3), Rng(seed))
     dead = [k for k in range(p) if k not in live]
     net.theta[dead] = 0.0
-    _prox_net(net, 0.0, 2.0)  # zero rows for dead features, caps for live
-    return net
+    return _projected(net, 2.0)  # zero rows for dead features, caps for live
 
 
 # ----------------------------------------------------------- closed forms

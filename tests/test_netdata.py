@@ -93,6 +93,38 @@ def test_degrees_cycle():
     assert inn.tolist() == [1, 1, 1]
 
 
+@pytest.mark.parametrize("count", [2**53 + 1, 2**63 - 1])
+def test_degrees_exact_past_float64(count):
+    # degrees are summed in int64: a float64 sum would round 2**53 + 1
+    # down and turn 2**63 - 1 into an invalid cast
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        net = CountNetwork.from_edges(3, [(1, 2, count)])
+    assert net.out_degree.tolist() == [0, count, 0]
+    assert net.in_degree.tolist() == [0, 0, count]
+    assert net.out_degree.dtype == np.int64 and net.in_degree.dtype == np.int64
+
+
+def test_degrees_sum_counts_of_many_edges_exactly():
+    net = CountNetwork.from_edges(4, [(0, 1, 2**53), (0, 2, 1), (3, 2, 2**53)])
+    assert net.out_degree.tolist() == [2**53 + 1, 0, 0, 2**53]
+    assert net.in_degree.tolist() == [0, 2**53, 2**53 + 1, 0]
+
+
+@pytest.mark.parametrize("n", [3037000500, 2**63, 2**64])
+def test_node_count_whose_pair_keys_overflow_is_a_data_error(n):
+    # src * n + dst keys must fit in int64; isqrt(2**63 - 1) = 3037000499
+    with pytest.raises(NetworkDataError, match="too large"):
+        CountNetwork.from_edges(n, [(0, 1, 1)])
+
+
+def test_inferred_huge_node_count_is_a_data_error(tmp_path):
+    path = tmp_path / "edges.csv"
+    path.write_text(f"src,dst,count\n0,{2**63 - 1},1\n")
+    with pytest.raises(NetworkDataError, match="too large"):
+        load_edge_list(path)
+
+
 # ------------------------------------------------------ array edge path
 
 def _dict_merge_reference(n, edges):

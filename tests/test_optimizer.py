@@ -11,6 +11,7 @@ from hetnet import (
     FitDivergenceError,
     HierarchyViolationError,
     Rng,
+    SkipLayerNet,
     extract_selected,
     fit,
     forward_batch,
@@ -20,7 +21,8 @@ from hetnet import (
     init_net,
     update_side,
 )
-from hetnet.optimizer import _hierarchy_gap
+from hetnet.optimizer import _hierarchy_gap, _projected
+from hetnet.skipnet import FlatNet, _forward_activations
 from hetnet.rng import derive_seed, seed_for
 from hetnet.simbench import gen_attributes, linear_truth, sample_network
 
@@ -151,9 +153,33 @@ def test_update_side_zero_epochs_is_noop():
     vals, net_out, trace = update_side(
         "alpha", net, X, A, np.zeros(5), 0.1, 0.2, 1e-3, 1.0, 1.0, 0
     )
-    assert np.array_equal(vals, forward_batch(net, X))
+    # the values are the training forward pass's, which agrees with the
+    # row-exact prediction path to rounding
+    flat = FlatNet.from_net(net, X.shape[0])
+    assert vals.tobytes() == _forward_activations(flat, X).tobytes()
+    want = forward_batch(net, X)
+    assert np.abs(vals - want).max() <= 1e-12 * np.abs(want).max()
     assert _nets_equal(net, net_out)
     assert trace.shape == (1,)
+
+
+@pytest.mark.parametrize("widths", [None, (), (1,), (3,), (3, 2)])
+def test_update_side_trains_every_layer_count(widths):
+    # widths None is a net with no layers at all, which net_from_json_dict
+    # allows: its parameter block is theta alone
+    A, X = _random_instance(11, 7)
+    if widths is None:
+        net = SkipLayerNet(3, np.array([0.3, -0.2, 0.1]), [])
+    else:
+        net = _projected(init_net(3, widths, Rng(8)), 1.0)
+    vals, net_out, trace = update_side(
+        "alpha", net, X, A, np.zeros(7), 0.05, 0.2, 1e-3, 1.0, 1.0, 30
+    )
+    assert trace.shape == (31,)
+    assert trace[-1] < trace[0]
+    assert [l.weights.shape for l in net_out.layers] == [l.weights.shape for l in net.layers]
+    want = forward_batch(net_out, X)
+    assert np.abs(vals - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_update_side_huge_lambda_collapses_to_bias():
