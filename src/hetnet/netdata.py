@@ -47,6 +47,7 @@ __all__ = [
 _WRITE_BLOCK_ROWS = 1 << 16
 # the largest n whose src * n + dst pair keys fit in int64
 _MAX_NODES = math.isqrt(2**63 - 1)
+_MAX_COUNT = 2**63 - 1
 
 
 class NetworkDataError(ValueError):
@@ -83,7 +84,8 @@ class CountNetwork:
         Duplicate (src, dst) pairs are summed; zero-count results are
         dropped.  Raises :class:`NetworkDataError` on self-loops, negative
         counts, or out-of-range indices, naming the first offending edge,
-        and on an n whose n*n overflows int64.
+        on an n whose n*n overflows int64, and on counts whose sum
+        overflows it.
         """
         if n < 1:
             raise NetworkDataError(f"node count must be >= 1, got {n}")
@@ -104,6 +106,16 @@ class CountNetwork:
                     f"edge ({s},{d}) outside declared range [0, {n})"
                 )
             raise NetworkDataError(f"negative count {c} on edge ({s},{d})")
+        # every pair sum and degree is a sum of some of these non-negative
+        # counts, so the total bounds them all; it is summed exactly only
+        # when m * max(count) does not already keep it in range
+        if c.size and int(c.max()) * c.size > _MAX_COUNT:
+            total = sum(c.tolist())
+            if total > _MAX_COUNT:
+                raise NetworkDataError(
+                    f"edge counts sum to {total}: pair sums, degrees and the "
+                    f"total must fit in a 64-bit integer"
+                )
         # one int64 key per pair, ordered as (src, dst); sums stay exact
         keys, slot = np.unique(s * n + d, return_inverse=True)
         total = np.zeros(keys.size, dtype=np.int64)

@@ -7,7 +7,11 @@ penalty on the skip coefficients is applied through a hierarchical
 proximal operator that also rescales the first hidden layer, so a
 feature whose skip coefficient is thresholded to zero is cut out of the
 nonlinear part as well.  Selection is read off as the exactly-nonzero
-skip coefficients.
+skip coefficients.  Because a closed gate zeroes its whole row of the
+first layer, each step multiplies only the live features' columns of X
+(:class:`~hetnet.skipnet.WorkingSet`), and a screen certifies that the
+others would stay closed, so the trainer takes exactly the steps the
+full-width products would.
 
 Sum identifiability (sum alpha = sum beta) is enforced softly during
 training by a quadratic penalty and exactly afterwards by a constant
@@ -35,6 +39,7 @@ from .rng import Rng
 from .skipnet import (
     FlatNet,
     SkipLayerNet,
+    WorkingSet,
     forward_batch,
     init_net,
     _forward_activations,
@@ -220,7 +225,29 @@ def update_side(
     current and trial.  A trial step is one vector operation on the flat
     buffer, one :func:`hierarchical_prox` call on the block's rows, one
     forward pass and one loss-and-gradient evaluation; the backward pass
-    runs once per point a step is taken from.  A step is accepted, by
+    runs once per point a step is taken from.
+
+    Both passes read X through a :class:`WorkingSet`, the block rows S
+    that may be nonzero: at entry every row that is not all zero (a
+    caller's net may break the hierarchy), after a prox the rows with
+    theta_k != 0, since the cap M*|theta_k| = 0 zeroes the rest.  While
+    |S| <= p/4 the forward pass multiplies X[:, S], gathered once per
+    change of S, and the backward pass X[:, S]' alone whenever the screen
+    certifies that every other row stays zero after the prox, giving
+    those rows a zero gradient.  A full X' product is a refresh: it
+    stores u0 (the gradient w.r.t. the fitted values), ||u0|| and the
+    radius R = min over k outside S of (lam - |g0_k|)/||x_k|| less
+    rounding terms; a later pass at u is screened if S is unchanged since
+    the refresh and delta = ||u - u0|| < R, and refreshes otherwise.  The
+    rounding terms come from |fl(x'u) - x'u| <= gamma_n*||x||*||u||,
+    gamma_n = n*e/(1 - n*e) with e the unit roundoff, which holds in any
+    summation order (Higham 2002, section 3.1): it gives |g_k| <= |g0_k|
+    + ||x_k||*(delta*(1 + gamma_n) + 2*gamma_n*||u0||), so |g_k| < lam and
+    the prox keeps the row at zero, as with the full products.  With
+    lam = 0 no radius is positive and every pass is full.  Above p/4 live
+    rows both passes read all of X (see :class:`WorkingSet`).
+
+    A step is accepted, by
     swapping the two points, when the composite objective (smooth loss +
     L1) stays within 1e-9*max(1, |composite|) of where it was; otherwise
     the step is retried from the unchanged current point with rho
@@ -251,6 +278,10 @@ def update_side(
     grad = FlatNet(cur.p, cur.widths, n)
 
     side_loss = _SideLoss(fixed, A, z_n, side)
+    # taken from the whole block here: a caller's net may break the
+    # hierarchy; after a prox a zero theta_k means a zero row
+    cols = WorkingSet(x2d, lam)
+    cols.select(cur.block.any(axis=1))
 
     def loss_and_upstream(vals: np.ndarray):
         """Smooth loss and its gradient w.r.t. the fitted values.
@@ -264,7 +295,7 @@ def update_side(
         d_nll += d_ident
         return nll + ident, d_nll
 
-    vals = _forward_activations(cur, x2d)
+    vals = _forward_activations(cur, x2d, cols)
     loss, upstream = loss_and_upstream(vals)
     trace = [loss]
     if inner_epochs == 0:
@@ -282,7 +313,7 @@ def update_side(
     epoch = 0
     while epoch < inner_epochs:
         if stale_grad:
-            _backward_from_activations(cur, x2d, upstream, grad)
+            _backward_from_activations(cur, x2d, upstream, grad, cols)
             stale_grad = False
 
         np.multiply(grad.flat, rho, out=trial.flat)
@@ -291,7 +322,8 @@ def update_side(
         trial.w1[:] = w1
         trial.theta[:] = theta
 
-        trial_vals = _forward_activations(trial, x2d)
+        cols.select(theta)
+        trial_vals = _forward_activations(trial, x2d, cols)
         new_loss, new_upstream = loss_and_upstream(trial_vals)
         new_composite = new_loss + lam * float(np.abs(theta).sum())
         # written so that a NaN composite is rejected too

@@ -13,12 +13,17 @@ identical to row-at-a-time evaluation.  Training works on a
 :class:`FlatNet`, which keeps every parameter in one buffer: its forward
 pass is one BLAS product of X with the (p, h1+1) block ``[W1' | theta]``
 and its backward pass one product of X' with the matching adjoints.
-BLAS promises only run-to-run determinism, which is all training needs;
-the two forwards agree to rounding.
+A :class:`WorkingSet` narrows both products to the block's live rows
+when at most a quarter of them are live: the forward multiplies only
+their columns of X, and the backward does too whenever a rounding-safe
+screen certifies that the prox leaves every other row at zero.  BLAS
+promises only run-to-run determinism, which is all training needs; the
+two forwards agree to rounding.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +34,7 @@ __all__ = [
     "Layer",
     "SkipLayerNet",
     "FlatNet",
+    "WorkingSet",
     "forward_batch",
     "init_net",
     "net_to_json_dict",
@@ -40,9 +46,6 @@ __all__ = [
 class Layer:
     weights: np.ndarray  # (d_out, d_in)
     biases: np.ndarray  # (d_out,)
-
-    def copy(self) -> "Layer":
-        return Layer(self.weights.copy(), self.biases.copy())
 
 
 @dataclass
@@ -79,9 +82,6 @@ class SkipLayerNet:
     @property
     def hidden_widths(self) -> tuple[int, ...]:
         return tuple(layer.weights.shape[0] for layer in self.layers[:-1])
-
-    def copy(self) -> "SkipLayerNet":
-        return SkipLayerNet(self.p, self.theta.copy(), [l.copy() for l in self.layers])
 
 
 def _check_input(net: SkipLayerNet, x: np.ndarray) -> np.ndarray:
@@ -173,15 +173,135 @@ class FlatNet:
         return SkipLayerNet(self.p, self.theta.copy(), layers)
 
 
-def _forward_activations(net: FlatNet, x2d: np.ndarray) -> np.ndarray:
+# machine epsilon, 2**-52: twice the unit roundoff of IEEE double
+_EPS = float(np.finfo(np.float64).eps)
+# a working set of more than this share of the rows reads all of X
+_DENSE_SHARE = 0.25
+
+
+class WorkingSet:
+    """The live rows S of a :class:`FlatNet` block, X's columns for them,
+    and the screen that lets a backward pass leave the other rows out.
+
+    ``select(live)`` makes the block rows where ``live`` is nonzero, the
+    rows that may be nonzero, the working set.  When more than a quarter of
+    the p rows are live, ``rows`` is None and both products read all of
+    X, as without a working set: the nonlinear design keeps at least half
+    the rows live (65% in the median forward pass), where gathers and
+    screen refreshes would cost more than the columns they skip, while
+    the linear fits keep 1-5% live.  Otherwise ``xs = X[:, rows]`` is copied, once per
+    change of S, and the forward pass computes ``xs @ block[rows]``.
+
+    The screen serves the trainer, whose every row outside S has theta_k
+    = 0 and a zero first-layer row, and applies the hierarchical prox
+    with penalty ``lam``.  Such a row stays exactly zero after the prox
+    when fl(rho*|g_k|) <= fl(rho*lam), g_k = fl(x_k'u) being the theta
+    gradient the full product would compute; |g_k| < lam suffices, as
+    rounding is monotone, and the row's first-layer gradient plays no
+    part, its cap M*|theta_k| being 0.  :meth:`xt` computes the full
+    ``X' adj`` on a *refresh* and stores u0 = u, ||u0|| and the radius
+
+        R = min over k outside S, ||x_k|| > 0, of
+            (lam - |g0_k| - 3*gamma*||x_k||*||u0||) / (||x_k||*(1 + 4*gamma)),
+
+    with gamma = n*eps/(1 - n*eps).  A later call at u multiplies only
+    ``xs' adj``, giving the other rows a zero gradient, if S equals the
+    refresh's S and delta = ||u - u0|| < R; otherwise it refreshes.
+    This is exact: every dot product of length n, in any summation order
+    BLAS uses, has |fl(x'u) - x'u| <= gamma_n*||x||*||u|| with gamma_n =
+    n*e/(1 - n*e) and e = eps/2 (Higham 2002, section 3.1), so
+
+        |g_k| <= |g0_k| + ||x_k||*(delta*(1 + gamma_n) + 2*gamma_n*||u0||),
+
+    which is below lam whenever delta < R.  Taking gamma with eps in
+    place of e doubles gamma_n, and the constants 3 and 4 in place of 2
+    and 1 absorb the rounding of the norms, of delta and of R itself.
+    A zero column's gradient is exactly 0, so it never needs a margin.
+    With lam = 0 every radius is negative or zero and every backward
+    pass is full.  A row that leaves S has no margin from the refresh,
+    hence the equality of S.
+    """
+
+    def __init__(self, x2d: np.ndarray, lam: float):
+        n, p = x2d.shape
+        self.x = x2d
+        self.lam = lam
+        self.dense_above = _DENSE_SHARE * p
+        self.norms = np.sqrt(np.einsum("ij,ij->j", x2d, x2d))
+        self.gamma = n * _EPS / (1.0 - n * _EPS)
+        self.rows = None
+        self.xs = x2d
+        self._key = None  # rows.tobytes(); None for every row
+        self._ref_key = None  # the key at the last refresh
+        self._radius = -math.inf
+        self._u0 = np.empty(n)
+        self._du = np.empty(n)
+        self._g = np.empty(p)
+
+    def select(self, live: np.ndarray) -> None:
+        """Make the rows where ``live`` (one entry per row) is nonzero the
+        working set."""
+        if np.count_nonzero(live) > self.dense_above:
+            self.rows, self.xs, self._key = None, self.x, None
+            return
+        live = live.nonzero()[0]
+        key = live.tobytes()
+        if key != self._key:
+            self.rows, self._key = live, key
+            self.xs = np.take(self.x, live, axis=1)
+
+    def xt(self, adj: np.ndarray, u: np.ndarray, out: np.ndarray | None = None):
+        """``X' adj`` into ``out`` (a p-vector buffer when None), or its
+        working-set rows and zeros where the screen certifies the prox
+        leaves a zero.
+
+        ``adj`` is u itself or an (n, c) matrix whose last column is u,
+        the loss derivative at the outputs, which the screen measures.
+        """
+        if out is None:
+            out = self._g
+        if self.rows is None:
+            return np.matmul(self.x.T, adj, out=out)
+        if self._key == self._ref_key:
+            du = np.subtract(u, self._u0, out=self._du)
+            if math.sqrt(du @ du) < self._radius:
+                out.fill(0.0)
+                out[self.rows] = self.xs.T @ adj
+                return out
+        np.matmul(self.x.T, adj, out=out)
+        self._refresh(out if out.ndim == 1 else out[:, -1], u)
+        return out
+
+    def _refresh(self, g0: np.ndarray, u0: np.ndarray) -> None:
+        np.copyto(self._u0, u0)
+        self._ref_key = self._key
+        outside = np.ones(g0.shape[0], dtype=bool)
+        outside[self.rows] = False
+        outside &= self.norms > 0.0
+        nx = self.norms[outside]
+        if not nx.size:
+            self._radius = math.inf
+            return
+        gamma = self.gamma
+        slack = self.lam * (1.0 - 2.0 * _EPS) - np.abs(g0[outside]) * (1.0 + 2.0 * _EPS)
+        slack -= (3.0 * gamma * math.sqrt(u0 @ u0)) * nx
+        self._radius = float((slack / (nx * (1.0 + 4.0 * gamma))).min())
+
+
+def _forward_activations(net: FlatNet, x2d: np.ndarray,
+                         cols: WorkingSet | None = None) -> np.ndarray:
     """Fill ``net``'s activations for the batch x2d and return its outputs.
 
     One product ``x2d @ block`` gives the first layer's products with X
-    and the skip path together.  The result is ``net.vals``, which the
-    next call overwrites.  ReLU derivative at exactly 0 is 0.  Inputs are
-    not validated.
+    and the skip path together; with a :class:`WorkingSet` whose rows
+    cover every nonzero row of the block, it is ``cols.xs @ block[rows]``.
+    The result is ``net.vals``, which the next call overwrites.  ReLU
+    derivative at exactly 0 is 0.  Inputs are not validated.
     """
-    np.matmul(x2d, net.block, out=net.z)
+    if cols is None or cols.rows is None:
+        np.matmul(x2d, net.block, out=net.z)
+    else:
+        np.matmul(cols.xs, net.block.take(cols.rows, axis=0), out=net.z)
     if not net.widths:
         np.copyto(net.vals, net.z[:, 0])
         return net.vals
@@ -194,7 +314,7 @@ def _forward_activations(net: FlatNet, x2d: np.ndarray) -> np.ndarray:
 
 
 def _backward_from_activations(net: FlatNet, x2d: np.ndarray, upstream: np.ndarray,
-                               grad: FlatNet) -> None:
+                               grad: FlatNet, cols: WorkingSet | None = None) -> None:
     """Write the gradient of sum_i upstream[i] * f(x_i) into ``grad``.
 
     ``net``'s activations come from :func:`_forward_activations` on the
@@ -204,10 +324,13 @@ def _backward_from_activations(net: FlatNet, x2d: np.ndarray, upstream: np.ndarr
     ``x2d' @ [dz1 | upstream]`` gives the first layer's weight gradient
     and theta's together.  Without them the skip path and the output
     layer (if any) both see X directly, so one product ``x2d' @ upstream``
-    fills every column of the block.  Inputs are not validated.
+    fills every column of the block.  The gradient is full unless
+    ``cols`` is given: then :meth:`WorkingSet.xt` computes the product,
+    and the block rows its screen certifies get 0.  Inputs are not
+    validated.
     """
     if len(net.widths) < 2:
-        g = x2d.T @ upstream
+        g = x2d.T @ upstream if cols is None else cols.xt(upstream, upstream)
         grad.block[:] = g[:, np.newaxis]
         grad.b1[:] = upstream.sum()
         return
@@ -222,7 +345,10 @@ def _backward_from_activations(net: FlatNet, x2d: np.ndarray, upstream: np.ndarr
         d_pre = grad.pre[i] if i else grad.z[:, :net.h1]
         dz = np.multiply(da, net.pre[i] > 0.0, out=d_pre)
     grad.z[:, net.h1] = upstream
-    np.matmul(x2d.T, grad.z, out=grad.block)
+    if cols is None:
+        np.matmul(x2d.T, grad.z, out=grad.block)
+    else:
+        cols.xt(grad.z, upstream, grad.block)
     np.add.reduce(dz, axis=0, out=grad.b1)
 
 

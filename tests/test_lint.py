@@ -1,0 +1,21 @@
+"""Source checks that hold for every library module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = sorted((Path(__file__).resolve().parent.parent / "src" / "hetnet").glob("*.py"))
+
+
+def test_the_library_has_modules():
+    assert len(SRC) >= 10
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+def test_library_code_has_no_assert(path):
+    # python -O strips assert statements, so an invariant the library
+    # checks must raise a typed error instead
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not lines, f"{path.name} uses assert on lines {lines}"

@@ -111,6 +111,27 @@ def test_degrees_sum_counts_of_many_edges_exactly():
     assert net.in_degree.tolist() == [0, 2**53, 2**53 + 1, 0]
 
 
+@pytest.mark.parametrize("edges", [
+    [(0, 1, 2**62), (0, 1, 2**62)],  # a pair sum: the pair was dropped
+    [(0, 1, 2**62), (0, 2, 2**62)],  # a degree and the total
+    [(0, 1, 2**62), (2, 1, 2**62)],  # an in-degree
+    [(0, 1, 2**63 - 1), (2, 0, 1)],  # the total alone
+])
+def test_counts_whose_sums_overflow_int64_are_a_data_error(edges):
+    with pytest.raises(NetworkDataError, match="64-bit"):
+        CountNetwork.from_edges(3, edges)
+
+
+def test_counts_summing_to_the_int64_limit_are_exact():
+    top = 2**63 - 1
+    net = CountNetwork.from_edges(3, [(0, 1, 2**62), (0, 2, 2**62 - 1)])
+    assert net.out_degree.tolist() == [top, 0, 0]
+    assert net.total_count == top
+    net = CountNetwork.from_edges(3, [(0, 1, 2**62), (0, 1, 2**62 - 1)])
+    assert net.count.tolist() == [top]
+    assert net.in_degree.tolist() == [0, top, 0]
+
+
 @pytest.mark.parametrize("n", [3037000500, 2**63, 2**64])
 def test_node_count_whose_pair_keys_overflow_is_a_data_error(n):
     # src * n + dst keys must fit in int64; isqrt(2**63 - 1) = 3037000499

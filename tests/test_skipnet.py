@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -269,7 +270,7 @@ def test_flat_block_step_matches_skip_layer_reference(n, p, widths, seed, tau, M
         want_w1, want_theta = _ref_hierarchical_prox(np.zeros((p, 0)), net.theta, tau, M)
         assert w1_new.shape == want_w1.shape
     else:
-        ref = net.copy()
+        ref = copy.deepcopy(net)
         _ref_prox_net(ref, tau, M)
         want_w1, want_theta = ref.layers[0].weights.T, ref.theta
     assert np.ascontiguousarray(w1_new).tobytes() == np.ascontiguousarray(want_w1).tobytes()
@@ -318,15 +319,6 @@ def test_init_net_weight_range():
     bound = np.sqrt(6.0 / (4 + 8))
     assert np.all(np.abs(w1) < bound)
     assert np.all(w1 != 0.0)
-
-
-def test_net_copy_is_deep():
-    net = _random_net(3, (2,), seed=6)
-    dup = net.copy()
-    dup.theta[0] += 1.0
-    dup.layers[0].weights[0, 0] += 1.0
-    assert net.theta[0] != dup.theta[0]
-    assert net.layers[0].weights[0, 0] != dup.layers[0].weights[0, 0]
 
 
 # ----------------------------------------------------------- JSON codec
