@@ -13,6 +13,7 @@ import csv
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .netdata import (
@@ -33,16 +34,12 @@ from .optimizer import (
 )
 from .skipnet import net_from_json_dict, net_to_json_dict
 from .simbench import (
-    gen_attributes,
-    linear_truth,
-    nonlinear_truth,
-    sample_network,
     run_replications,
+    simulate_design,
     write_metrics_csv,
     write_raw_csv,
 )
 from .importance import shapley_importance
-from .rng import seed_for
 
 __all__ = ["main", "UsageError"]
 
@@ -58,6 +55,11 @@ def _require_file(path: str, what: str) -> Path:
     if not p.is_file():
         raise UsageError(f"{what} file not found: {path}")
     return p
+
+
+def _check_p(p: int) -> None:
+    if p < 10:
+        raise UsageError("p must be >= 10 (both designs use attribute columns 1..10)")
 
 
 def _check_zn(zn: float) -> None:
@@ -87,10 +89,7 @@ def _read_json(path: Path):
         return json.load(fh)
 
 
-_CONFIG_KEYS = {
-    "lambda1", "lambda2", "gamma", "m", "M", "rho", "epsilon", "t_max_outer",
-    "inner_epochs", "hidden_widths", "hidden_widths_beta", "z_n", "seed",
-}
+_CONFIG_KEYS = {f.name for f in fields(FitConfig)} | {"m"}
 
 
 def load_fit_config(path: Path) -> FitConfig:
@@ -173,18 +172,12 @@ def _write_fit_artifacts(out: Path, est: HeterogeneityEstimate,
 # ---------------------------------------------------------------- commands
 
 def cmd_simulate(args) -> int:
-    if args.p < 10:
-        raise UsageError("p must be >= 10 (both designs use attribute columns 1..10)")
+    _check_p(args.p)
     if args.n < 2:
         raise UsageError("n must be >= 2")
     _check_zn(args.zn)
     out = _out_dir(args.out)
-    guard = 10 if args.setting == "nonlinear" else 0
-    xmat = gen_attributes(args.n, args.p, seed_for("attributes", args.seed),
-                          guard_cols=guard)
-    make_truth = linear_truth if args.setting == "linear" else nonlinear_truth
-    truth = make_truth(xmat, z_n=args.zn)
-    net = sample_network(truth, seed_for("network", args.seed))
+    xmat, truth, net = simulate_design(args.setting, args.n, args.p, args.seed, args.zn)
 
     with open(out / "edges.csv", "w", encoding="utf-8", newline="\n") as fh:
         write_edge_list(net, fh)
@@ -230,8 +223,7 @@ def cmd_tune(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    if args.p < 10:
-        raise UsageError("p must be >= 10 (both designs use attribute columns 1..10)")
+    _check_p(args.p)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         raise UsageError("--methods must name at least one method")
@@ -350,10 +342,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NetworkDataError as exc:
+    except (UsageError, NetworkDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FitDivergenceError as exc:

@@ -54,6 +54,21 @@ class NetworkDataError(ValueError):
     """Malformed network or attribute input."""
 
 
+def _bad_edges(edges, n):
+    """Rows of an (m, 3) int64 edge array with a self-loop, a negative index
+    or count, or (when n is given) an index >= n."""
+    s, d, c = edges.T
+    bad = (s == d) | (s < 0) | (d < 0) | (c < 0)
+    if n is not None:
+        bad |= (s >= n) | (d >= n)
+    return bad
+
+
+# a whole number in the int64 range; NaN fails v == v quietly, where an
+# ordered compare would warn, and a non-number raises TypeError
+_is_int64 = np.frompyfunc(lambda v: v == v and -2**63 <= v < 2**63 and v == int(v), 1, 1)
+
+
 @dataclass(frozen=True)
 class CountNetwork:
     """Directed multigraph with non-negative integer edge counts.
@@ -83,9 +98,10 @@ class CountNetwork:
 
         Duplicate (src, dst) pairs are summed; zero-count results are
         dropped.  Raises :class:`NetworkDataError` on self-loops, negative
-        counts, or out-of-range indices, naming the first offending edge,
-        on an n whose n*n overflows int64, and on counts whose sum
-        overflows it.
+        counts, out-of-range indices, or values that are not whole numbers
+        in the int64 range (2.7, NaN, 2**63), naming the first offending
+        edge, on an n whose n*n overflows int64, and on counts whose sum
+        overflows it.  Integer arrays skip the per-value check.
         """
         if n < 1:
             raise NetworkDataError(f"node count must be >= 1, got {n}")
@@ -93,12 +109,24 @@ class CountNetwork:
             raise NetworkDataError(
                 f"node count {n} is too large: n*n must fit in a 64-bit integer"
             )
-        e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges),
-                       dtype=np.int64).reshape(-1, 3)
-        s, d, c = e.T
-        bad = (s == d) | (s < 0) | (s >= n) | (d < 0) | (d >= n) | (c < 0)
+        if isinstance(edges, np.ndarray) and np.can_cast(edges.dtype, np.int64):
+            e = raw = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
+        else:
+            # an int64 cast would truncate 2.7 and fail on NaN or 2**63, so a
+            # row holding such a value becomes (0, 0, 0), a self-loop
+            raw = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges),
+                             dtype=object).reshape(-1, 3)
+            whole = _is_int64(raw).astype(bool).all(axis=1, keepdims=True)
+            e = np.where(whole, raw, 0).astype(np.int64)
+        bad = _bad_edges(e, n)
         if bad.any():
-            s, d, c = e[bad.argmax()].tolist()
+            i = int(bad.argmax())
+            if not _is_int64(raw[i]).all():
+                raise NetworkDataError(
+                    f"edge ({','.join(map(str, raw[i]))}) must hold whole numbers "
+                    f"in the 64-bit integer range"
+                )
+            s, d, c = e[i].tolist()
             if s == d:
                 raise NetworkDataError(f"self-loop ({s},{d}) is not allowed")
             if not (0 <= s < n and 0 <= d < n):
@@ -106,6 +134,7 @@ class CountNetwork:
                     f"edge ({s},{d}) outside declared range [0, {n})"
                 )
             raise NetworkDataError(f"negative count {c} on edge ({s},{d})")
+        s, d, c = e.T
         # every pair sum and degree is a sum of some of these non-negative
         # counts, so the total bounds them all; it is summed exactly only
         # when m * max(count) does not already keep it in range
@@ -257,17 +286,6 @@ def _edge_rows(reader, n):
     return np.frombuffer(flat, dtype=np.int64).reshape(-1, 3)
 
 
-def _edges_pass(edges, n) -> bool:
-    """The per-line loop's row checks, on a whole bulk-parsed array."""
-    if edges.shape[1] != 3:
-        return False
-    s, d, c = edges.T
-    bad = (s == d) | (s < 0) | (d < 0) | (c < 0)
-    if n is not None:
-        bad |= (s >= n) | (d >= n)
-    return not bad.any()
-
-
 def load_edge_list(source, n: int | None = None) -> CountNetwork:
     """Load an edge list CSV with header ``src,dst,count``.
 
@@ -280,7 +298,7 @@ def load_edge_list(source, n: int | None = None) -> CountNetwork:
     giving the same edges or the error naming the first bad line.
     """
     _, edges = _read_csv(source, _edge_header, np.int64,
-                         lambda e, _: _edges_pass(e, n),
+                         lambda e, _: e.shape[1] == 3 and not _bad_edges(e, n).any(),
                          lambda reader, _: _edge_rows(reader, n))
     if n is None:
         if not edges.size:

@@ -475,6 +475,17 @@ class GridResult:
     error: str | None = None
 
 
+def _map_jobs(fn, tasks, jobs: int) -> list:
+    """``[fn(t) for t in tasks]``, over ``jobs`` worker processes when jobs > 1."""
+    if jobs <= 1:
+        return [fn(t) for t in tasks]
+    # imported here: loading multiprocessing costs every serial run
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, tasks))
+
+
 def _fit_one_triple(args):
     A, X, base_config, triple = args
     lam1, lam2, m = triple
@@ -501,15 +512,7 @@ def grid_search(A: CountNetwork, X, base_config: FitConfig, grid, jobs: int = 1)
     xmat = X if isinstance(X, AttributeMatrix) else AttributeMatrix(np.asarray(X))
     n, p = A.n, xmat.p
 
-    tasks = [(A, xmat, base_config, triple) for triple in grid]
-    if jobs > 1:
-        # imported here: loading multiprocessing costs every serial run
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            fits = list(pool.map(_fit_one_triple, tasks))
-    else:
-        fits = [_fit_one_triple(t) for t in tasks]
+    fits = _map_jobs(_fit_one_triple, [(A, xmat, base_config, t) for t in grid], jobs)
 
     results: list[GridResult] = []
     best_key = None

@@ -14,6 +14,8 @@ from itertools import chain
 
 import numpy as np
 
+__all__ = ["Rng", "derive_seed", "seed_for"]
+
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 # SplitMix64 constants (Steele, Lea & Flood's mixer, as used in Java 8's
 # SplittableRandom and xoshiro seeding).

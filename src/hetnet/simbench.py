@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .netdata import CountNetwork, AttributeMatrix
-from .optimizer import FitConfig, fit
+from .optimizer import FitConfig, _map_jobs, fit
 from .baselines import mle_fit, two_stage_select
 from .rng import Rng, derive_seed, seed_for
 
@@ -30,6 +30,7 @@ __all__ = [
     "linear_truth",
     "nonlinear_truth",
     "sample_network",
+    "simulate_design",
     "rmse",
     "aggregate_rmse",
     "selection_metrics",
@@ -142,6 +143,24 @@ def sample_network(truth: GroundTruth, seed: int) -> CountNetwork:
                        clamped, n * (n - 1), LOG_RATE_CLAMP)
     src, dst = np.nonzero(counts)
     return CountNetwork.from_edges(n, np.column_stack((src, dst, counts[src, dst])))
+
+
+def simulate_design(setting: str, n: int, p: int, seed: int,
+                    z_n: float) -> tuple[AttributeMatrix, GroundTruth, CountNetwork]:
+    """One (attributes, truth, network) draw of a design, a pure function of its arguments.
+
+    The attributes come from ``seed_for("attributes", seed)``, with the
+    nonlinear design's ten leading columns guarded away from zero; the
+    network is one draw from ``seed_for("network", seed)``.
+    """
+    try:
+        make_truth = {"linear": linear_truth, "nonlinear": nonlinear_truth}[setting]
+    except KeyError:
+        raise ValueError(f"unknown setting {setting!r}") from None
+    guard = 10 if setting == "nonlinear" else 0
+    X = gen_attributes(n, p, seed_for("attributes", seed), guard_cols=guard)
+    truth = make_truth(X, z_n)
+    return X, truth, sample_network(truth, seed_for("network", seed))
 
 
 def rmse(est, truth) -> float:
@@ -259,21 +278,10 @@ class MetricsReport:
     failure_log: list[tuple[int, str, str]] = field(default_factory=list)
 
 
-def _make_truth(setting: str, X, z_n: float) -> GroundTruth:
-    if setting == "linear":
-        return linear_truth(X, z_n)
-    if setting == "nonlinear":
-        return nonlinear_truth(X, z_n)
-    raise ValueError(f"unknown setting {setting!r}")
-
-
 def _run_one_replication(args):
     setting, n, p, r, base_seed, method_names, config, z_n = args
     seed_r = derive_seed(base_seed, r)
-    guard = 10 if setting == "nonlinear" else 0
-    X = gen_attributes(n, p, seed_for("attributes", seed_r), guard_cols=guard)
-    truth = _make_truth(setting, X, z_n)
-    A = sample_network(truth, seed_for("network", seed_r))
+    X, truth, A = simulate_design(setting, n, p, seed_r, z_n)
 
     results = {}
     errors = {}
@@ -318,14 +326,7 @@ def run_replications(setting: str, n: int, p: int, R: int, methods, base_seed: i
 
     tasks = [(setting, n, p, r, base_seed, method_names, config, z_n)
              for r in range(1, R + 1)]
-    if jobs > 1:
-        # imported here: loading multiprocessing costs every serial run
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_run_one_replication, tasks))
-    else:
-        outcomes = [_run_one_replication(t) for t in tasks]
+    outcomes = _map_jobs(_run_one_replication, tasks, jobs)
 
     raw: list[RawRow] = []
     acc: dict[tuple[str, str, str], list[float]] = {}

@@ -29,14 +29,8 @@ from hetnet import (
 )
 from hetnet.cli import main
 from hetnet.objective import _SideLoss
-from hetnet.rng import derive_seed, seed_for
-from hetnet.simbench import (
-    gen_attributes,
-    linear_truth,
-    nonlinear_truth,
-    sample_network,
-    selection_metrics,
-)
+from hetnet.rng import derive_seed
+from hetnet.simbench import selection_metrics, simulate_design
 from hetnet.skipnet import FlatNet, _backward_from_activations, _forward_activations
 
 # frozen linear benchmark (criteria 1, 2, 4)
@@ -65,13 +59,7 @@ def _report(num: int, ok: bool, detail: str) -> None:
 
 
 def _rep_data(setting, n, p, base_seed, rep, z):
-    seed_r = derive_seed(base_seed, rep)
-    guard = 10 if setting == "nonlinear" else 0
-    X = gen_attributes(n, p, seed_for("attributes", seed_r), guard_cols=guard)
-    make = linear_truth if setting == "linear" else nonlinear_truth
-    truth = make(X, z)
-    A = sample_network(truth, seed_for("network", seed_r))
-    return X, truth, A
+    return simulate_design(setting, n, p, derive_seed(base_seed, rep), z)
 
 
 # ------------------------------------------------- criteria 1, 2, 4 fixture
@@ -423,10 +411,8 @@ def test_criterion_9_identifiability(linear_runs):
 
 def _rate_rep(task):
     n, rep = task
-    seed_r = derive_seed(RATE_SEED, 1000 * n + rep)
-    X = gen_attributes(n, RATE_P, seed_for("attributes", seed_r))
-    truth = linear_truth(X, 10.0)
-    A = sample_network(truth, seed_for("network", seed_r))
+    X, truth, A = simulate_design("linear", n, RATE_P,
+                                  derive_seed(RATE_SEED, 1000 * n + rep), 10.0)
     lam = RATE_LAMBDA_PER_N * n
     cfg = FitConfig(lambda1=lam, lambda2=lam, M=0.5, rho=8e-4, z_n=10.0,
                     inner_epochs=1200, t_max_outer=8, hidden_widths=(),

@@ -356,12 +356,10 @@ def test_default_path_selects_fewer_features_than_nodes():
     # criterion-1 replication 0: the lasso's active set is at most n - 1
     # columns of the centred design, and the unconverged coordinate descent
     # returned 102 alpha and 100 beta features here
-    from hetnet.rng import derive_seed, seed_for
-    from hetnet.simbench import gen_attributes, linear_truth, sample_network
+    from hetnet.rng import derive_seed
+    from hetnet.simbench import simulate_design
 
-    seed = derive_seed(1234, 0)
-    X = gen_attributes(100, 200, seed_for("attributes", seed))
-    A = sample_network(linear_truth(X, 10.0), seed_for("network", seed))
+    X, _, A = simulate_design("linear", 100, 200, derive_seed(1234, 0), 10.0)
     s_alpha, s_beta, _, _ = two_stage_select(A, X, z_n=10.0)
     assert 0 < len(s_alpha) <= 99
     assert 0 < len(s_beta) <= 99
@@ -404,14 +402,10 @@ def test_two_stage_constant_response_selects_nothing():
 def test_two_stage_overselects_when_p_exceeds_n():
     # with p > n and a noisy response the penalized path can interpolate,
     # and the RSS-based criterion rewards that: selection balloons
-    from hetnet.rng import seed_for
-    from hetnet.simbench import gen_attributes, linear_truth, sample_network
+    from hetnet.simbench import simulate_design
 
-    n, p, z = 30, 60, 10.0
-    X = gen_attributes(n, p, seed_for("attributes", 55))
-    truth = linear_truth(X, z)
-    A = sample_network(truth, seed_for("network", 55))
-    s_alpha, _, _, _ = two_stage_select(A, X, z_n=z)
+    X, _, A = simulate_design("linear", 30, 60, 55, 10.0)
+    s_alpha, _, _, _ = two_stage_select(A, X, z_n=10.0)
     assert len(s_alpha) > 15
 
 

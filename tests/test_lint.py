@@ -1,6 +1,7 @@
 """Source checks that hold for every library module."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -19,3 +20,14 @@ def test_library_code_has_no_assert(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name} uses assert on lines {lines}"
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+def test_module_exports_resolve(path):
+    # a name left in __all__ after its definition is deleted would break
+    # ``from hetnet import *`` and the package's own re-exports
+    mod = importlib.import_module("hetnet" if path.stem == "__init__" else f"hetnet.{path.stem}")
+    exports = getattr(mod, "__all__", None)
+    assert isinstance(exports, list) and exports, f"{path.name} defines no __all__"
+    missing = [name for name in exports if not hasattr(mod, name)]
+    assert not missing, f"{path.name} exports undefined names {missing}"

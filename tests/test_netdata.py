@@ -70,6 +70,41 @@ def test_arrays_read_only():
         net.out_degree[0] = 99
 
 
+@pytest.mark.parametrize("kind", ["list", "float array"])
+@pytest.mark.parametrize("value", [2.7, float("nan"), float("inf"), 2**63, -2.0**64])
+def test_non_integer_or_out_of_range_values_are_a_data_error(value, kind):
+    # an int64 cast would truncate 2.7 to 2, and raise a bare ValueError on
+    # NaN and a bare OverflowError on 2**63
+    edges = [(0, 1, 1), (1, 2, value), (2, 2, 1)]
+    if kind == "float array":
+        edges = np.array(edges, dtype=np.float64)
+    with pytest.raises(NetworkDataError, match=r"edge \(1(\.0)?,2(\.0)?,.*whole numbers"):
+        CountNetwork.from_edges(3, edges)
+
+
+@pytest.mark.parametrize("kind", ["list", "float array"])
+def test_value_errors_follow_edge_order(kind):
+    edges = [(2, 2, 1), (0, 1, 2.5)]
+    if kind == "float array":
+        edges = np.array(edges)
+    with pytest.raises(NetworkDataError, match="self-loop"):
+        CountNetwork.from_edges(3, edges)
+    with pytest.raises(NetworkDataError, match=r"edge \(0(\.0)?,1(\.0)?,2\.5\)"):
+        CountNetwork.from_edges(3, edges[::-1])
+
+
+@pytest.mark.parametrize("edges", [
+    [(0, 1, 3.0), (2, 0, 1)],
+    np.array([[0.0, 1.0, 3.0], [2.0, 0.0, 1.0]]),
+    np.array([[0, 1, 3], [2, 0, 1]], dtype=np.int32),
+    np.array([[0, 1, 3], [2, 0, 1]], dtype=object),
+])
+def test_whole_valued_inputs_of_any_type_are_accepted(edges):
+    net = CountNetwork.from_edges(3, edges)
+    assert list(net.edges()) == [(0, 1, 3), (2, 0, 1)]
+    assert net.count.dtype == np.int64
+
+
 # ------------------------------------------------------ cached degrees
 
 def test_degrees_empty_graph():

@@ -23,8 +23,8 @@ from hetnet import (
 )
 from hetnet.optimizer import _hierarchy_gap, _projected
 from hetnet.skipnet import FlatNet, _forward_activations
-from hetnet.rng import derive_seed, seed_for
-from hetnet.simbench import gen_attributes, linear_truth, sample_network
+from hetnet.rng import derive_seed
+from hetnet.simbench import simulate_design
 
 
 def _uniform_network(n: int, c: int) -> CountNetwork:
@@ -367,10 +367,7 @@ def test_fit_linear_design_keeps_true_senders():
                     inner_epochs=800, t_max_outer=5, hidden_widths=(), seed=11)
     hits = 0
     for rep in range(10):
-        seed_r = derive_seed(77, rep)
-        X = gen_attributes(n, p, seed_for("attributes", seed_r))
-        truth = linear_truth(X, z)
-        A = sample_network(truth, seed_for("network", seed_r))
+        X, _, A = simulate_design("linear", n, p, derive_seed(77, rep), z)
         est = fit(A, X, cfg)
         hits += {0, 1, 2, 3, 4} <= est.s_alpha
     assert hits >= 9
@@ -532,10 +529,7 @@ def test_grid_search_moderate_lambda_beats_collapse():
     # a huge penalty empties both nets; the moderate penalty keeps real
     # signal and wins on HBIC because its nll drop dwarfs the support cost
     n, p, z = 100, 50, 10.0
-    seed_r = derive_seed(77, 0)
-    X = gen_attributes(n, p, seed_for("attributes", seed_r))
-    truth = linear_truth(X, z)
-    A = sample_network(truth, seed_for("network", seed_r))
+    X, _, A = simulate_design("linear", n, p, derive_seed(77, 0), z)
     base = FitConfig(M=0.5, rho=8e-4, z_n=z, inner_epochs=800, t_max_outer=5,
                      hidden_widths=(), seed=11)
     cfg, est, results = grid_search(A, X, base, [(1e6, 1e6, 0.5), (15.0, 15.0, 0.5)])

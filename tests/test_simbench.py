@@ -1,6 +1,7 @@
 import io
 import logging
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,10 +16,11 @@ from hetnet import (
     run_replications,
     sample_network,
     selection_metrics,
+    simulate_design,
     write_metrics_csv,
     write_raw_csv,
 )
-from hetnet.rng import Rng
+from hetnet.rng import Rng, seed_for
 from hetnet.simbench import _METHOD_REGISTRY, MethodResult
 from test_rng import _ScalarPoissonRng
 
@@ -176,6 +178,53 @@ def test_nonlinear_truth_rejects_exact_zero():
         nonlinear_truth(X)
     with pytest.raises(ValueError):
         nonlinear_truth(np.full((3, 9), 0.5))
+
+
+# ----------------------------------------------------------- simulate_design
+
+def _inline_draw(args):
+    """The design draw that simulate_design replaced, kept verbatim from the
+    body of cli.cmd_simulate."""
+    guard = 10 if args.setting == "nonlinear" else 0
+    xmat = gen_attributes(args.n, args.p, seed_for("attributes", args.seed),
+                          guard_cols=guard)
+    make_truth = linear_truth if args.setting == "linear" else nonlinear_truth
+    truth = make_truth(xmat, z_n=args.zn)
+    net = sample_network(truth, seed_for("network", args.seed))
+    return xmat, truth, net
+
+
+# seed 1443 at n=30, p=12: an unguarded draw falls within 1e-6 of zero in
+# the nonlinear design's leading ten columns, so its guard redraws fire
+@pytest.mark.parametrize("setting, n, p, seed, zn", [
+    ("linear", 20, 15, 7, 10.0),
+    ("linear", 12, 10, 1443, 1.0),
+    ("nonlinear", 30, 12, 1443, 10.0),
+    ("nonlinear", 16, 20, 5, 5.0),
+])
+def test_simulate_design_equals_inline_draw(setting, n, p, seed, zn):
+    want = _inline_draw(SimpleNamespace(setting=setting, n=n, p=p, seed=seed, zn=zn))
+    (x0, t0, a0), (x1, t1, a1) = want, simulate_design(setting, n, p, seed, zn)
+    assert x1.values.tobytes() == x0.values.tobytes() and x1.names == x0.names
+    assert t1.alpha0.tobytes() == t0.alpha0.tobytes()
+    assert t1.beta0.tobytes() == t0.beta0.tobytes()
+    assert (t1.a_alpha, t1.a_beta, t1.z_n) == (t0.a_alpha, t0.a_beta, t0.z_n)
+    assert a1.n == a0.n
+    for name in ("src", "dst", "count", "out_degree", "in_degree"):
+        assert getattr(a1, name).tobytes() == getattr(a0, name).tobytes()
+
+
+def test_simulate_design_seed_exercises_the_guard():
+    unguarded = gen_attributes(30, 12, seed_for("attributes", 1443)).values
+    assert np.abs(unguarded[:, :10]).min() < 1e-6
+    X, _, _ = simulate_design("nonlinear", 30, 12, 1443, 10.0)
+    assert np.abs(X.values[:, :10]).min() >= 1e-6
+    assert not np.array_equal(X.values, unguarded)
+
+
+def test_simulate_design_rejects_unknown_setting():
+    with pytest.raises(ValueError, match="unknown setting 'weird'"):
+        simulate_design("weird", 10, 10, 1, 1.0)
 
 
 # ------------------------------------------------------------ sample_network
