@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .netdata import CountNetwork, AttributeMatrix
+from .objective import center_sums
 
 __all__ = [
     "MleEstimate",
@@ -109,10 +110,10 @@ def mle_fit(A: CountNetwork, z_n: float = 1.0, max_iter: int = 10000,
     beta = np.full(n, z_n * math.log(delta))
     alpha[live_a] = z_n * log_a
     beta[live_b] = z_n * log_b
-    c = (float(alpha.sum()) - float(beta.sum())) / (2.0 * n)
+    alpha_hat, beta_hat, _ = center_sums(alpha, beta)
     return MleEstimate(
-        alpha_hat=alpha - c,
-        beta_hat=beta + c,
+        alpha_hat=alpha_hat,
+        beta_hat=beta_hat,
         iterations=iterations,
         converged=converged,
         flagged_alpha=set(np.nonzero(zero_out)[0].tolist()),
@@ -334,7 +335,7 @@ def two_stage_select(A: CountNetwork, X, z_n: float = 1.0, lasso_grid=None):
     argmin over the path.  Returns the two selected sets and the lasso
     fitted values, which act as the attribute-smoothed estimates.
     """
-    xmat = X if isinstance(X, AttributeMatrix) else AttributeMatrix(np.asarray(X))
+    xmat = AttributeMatrix.of(X)
     if A.n != xmat.n:
         raise ValueError("network and attributes disagree on n")
     if lasso_grid is not None:

@@ -23,6 +23,7 @@ from .netdata import (
     write_edge_list,
     write_attributes,
 )
+from .objective import LossBreakdown
 from .optimizer import (
     FitConfig,
     FitDivergenceError,
@@ -90,6 +91,8 @@ def _read_json(path: Path):
 
 
 _CONFIG_KEYS = {f.name for f in fields(FitConfig)} | {"m"}
+# the loss parts in LossBreakdown's field order, then their total
+_LOSS_KEYS = [f.name for f in fields(LossBreakdown)] + ["total"]
 
 
 def load_fit_config(path: Path) -> FitConfig:
@@ -142,7 +145,6 @@ def _write_fit_artifacts(out: Path, est: HeterogeneityEstimate,
                          config: FitConfig) -> None:
     _write_json(out / "model_alpha.json", net_to_json_dict(est.net_alpha, config.M))
     _write_json(out / "model_beta.json", net_to_json_dict(est.net_beta, config.M))
-    loss = est.final_loss
     _write_json(out / "estimate.json", {
         "alpha_hat": est.alpha_hat.tolist(),
         "beta_hat": est.beta_hat.tolist(),
@@ -151,22 +153,13 @@ def _write_fit_artifacts(out: Path, est: HeterogeneityEstimate,
         "converged": est.converged,
         "outer_iterations": est.outer_iterations,
         "centering_shift": est.centering_shift,
-        "final_loss": {
-            "nll": loss.nll,
-            "l1_alpha": loss.l1_alpha,
-            "l1_beta": loss.l1_beta,
-            "ident_penalty": loss.ident_penalty,
-            "total": loss.total,
-        },
+        "final_loss": {k: getattr(est.final_loss, k) for k in _LOSS_KEYS},
     })
     with open(out / "fit_log.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("outer_iter,nll,l1_alpha,l1_beta,ident_penalty,total,"
-                 "delta_alpha,delta_beta\n")
+        fh.write(",".join(["outer_iter", *_LOSS_KEYS, "delta_alpha", "delta_beta"]) + "\n")
         for rec in est.history:
-            lb = rec.loss
-            fh.write(f"{rec.outer_iter},{lb.nll!r},{lb.l1_alpha!r},{lb.l1_beta!r},"
-                     f"{lb.ident_penalty!r},{lb.total!r},"
-                     f"{rec.delta_alpha!r},{rec.delta_beta!r}\n")
+            cells = [getattr(rec.loss, k) for k in _LOSS_KEYS] + [rec.delta_alpha, rec.delta_beta]
+            fh.write(f"{rec.outer_iter}," + ",".join(map(repr, cells)) + "\n")
 
 
 # ---------------------------------------------------------------- commands

@@ -106,7 +106,7 @@ def shapley_importance(net: SkipLayerNet, X, features, samples: int, seed: int,
         raise ValueError("max_nodes must be >= 1")
     if side not in ("alpha", "beta"):
         raise ValueError(f"side must be 'alpha' or 'beta', got {side!r}")
-    xmat = X if isinstance(X, AttributeMatrix) else AttributeMatrix(np.asarray(X))
+    xmat = AttributeMatrix.of(X)
     if xmat.p != net.p:
         raise ValueError(f"attributes have {xmat.p} columns, net expects {net.p}")
     feats = tuple(sorted(int(k) for k in set(features)))

@@ -64,9 +64,20 @@ def _bad_edges(edges, n):
     return bad
 
 
-# a whole number in the int64 range; NaN fails v == v quietly, where an
-# ordered compare would warn, and a non-number raises TypeError
-_is_int64 = np.frompyfunc(lambda v: v == v and -2**63 <= v < 2**63 and v == int(v), 1, 1)
+def _is_whole(v) -> bool:
+    """A whole number of any real type: an int, a bool, a numpy scalar, a
+    ``Fraction`` or a ``Decimal``.  NaN, infinities, 2.5, strings and None
+    are not."""
+    try:
+        # NaN fails v == v quietly; int(NaN) would also raise, but after an
+        # ordered compare that sets the floating-point invalid flag
+        return bool(v == v and int(v) == v)
+    except (TypeError, ValueError, ArithmeticError):
+        return False
+
+
+def _is_int64(v) -> bool:
+    return _is_whole(v) and -2**63 <= v < 2**63
 
 
 @dataclass(frozen=True)
@@ -99,9 +110,9 @@ class CountNetwork:
         Duplicate (src, dst) pairs are summed; zero-count results are
         dropped.  Raises :class:`NetworkDataError` on self-loops, negative
         counts, out-of-range indices, or values that are not whole numbers
-        in the int64 range (2.7, NaN, 2**63), naming the first offending
-        edge, on an n whose n*n overflows int64, and on counts whose sum
-        overflows it.  Integer arrays skip the per-value check.
+        in the int64 range (2.7, NaN, 2**63, "0", None), naming the first
+        offending edge, on an n whose n*n overflows int64, and on counts
+        whose sum overflows it.  Integer arrays skip the per-value check.
         """
         if n < 1:
             raise NetworkDataError(f"node count must be >= 1, got {n}")
@@ -110,18 +121,19 @@ class CountNetwork:
                 f"node count {n} is too large: n*n must fit in a 64-bit integer"
             )
         if isinstance(edges, np.ndarray) and np.can_cast(edges.dtype, np.int64):
-            e = raw = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
+            e = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
+            fits = None
         else:
             # an int64 cast would truncate 2.7 and fail on NaN or 2**63, so a
             # row holding such a value becomes (0, 0, 0), a self-loop
             raw = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges),
                              dtype=object).reshape(-1, 3)
-            whole = _is_int64(raw).astype(bool).all(axis=1, keepdims=True)
-            e = np.where(whole, raw, 0).astype(np.int64)
+            fits = np.frompyfunc(_is_int64, 1, 1)(raw).astype(bool).all(axis=1)
+            e = np.where(fits[:, np.newaxis], raw, 0).astype(np.int64)
         bad = _bad_edges(e, n)
         if bad.any():
             i = int(bad.argmax())
-            if not _is_int64(raw[i]).all():
+            if fits is not None and not fits[i]:
                 raise NetworkDataError(
                     f"edge ({','.join(map(str, raw[i]))}) must hold whole numbers "
                     f"in the 64-bit integer range"
@@ -173,7 +185,13 @@ class CountNetwork:
 
 @dataclass(frozen=True)
 class AttributeMatrix:
-    """n x p matrix of finite real nodal attributes, one row per node."""
+    """n x p matrix of finite real nodal attributes, one row per node.
+
+    The constructor freezes the float64 array it holds: when ``values`` is
+    already a float64 array, that is the caller's array, which becomes
+    read-only.  :meth:`of` copies anything that is not an AttributeMatrix
+    and so leaves the caller's array as it was.
+    """
 
     values: np.ndarray
     names: tuple[str, ...] = ()
@@ -192,6 +210,11 @@ class AttributeMatrix:
         elif len(self.names) != values.shape[1]:
             raise NetworkDataError("attribute names do not match column count")
         values.setflags(write=False)
+
+    @classmethod
+    def of(cls, X) -> "AttributeMatrix":
+        """``X`` itself if it is an AttributeMatrix, else one built from a copy of ``X``."""
+        return X if isinstance(X, cls) else cls(np.array(X, dtype=np.float64))
 
     @property
     def n(self) -> int:

@@ -25,6 +25,7 @@ __all__ = [
     "LossBreakdown",
     "poisson_nll",
     "identifiability_penalty",
+    "center_sums",
     "l1_penalty",
 ]
 
@@ -131,6 +132,17 @@ def identifiability_penalty(f_vals, target_sum: float, gamma: float):
     f = np.asarray(f_vals, dtype=np.float64)
     gap = f.sum() - target_sum
     return float(gamma * gap * gap), float(2.0 * gamma * gap)
+
+
+def center_sums(alpha_vals: np.ndarray, beta_vals: np.ndarray):
+    """The exact form of the sum constraint: shift both sides so their sums match.
+
+    Returns (alpha - c, beta + c, c) with c = (sum alpha - sum beta)/(2n).
+    The same constant moves both sides, so every alpha_i + beta_j is
+    unchanged up to rounding.
+    """
+    c = (float(alpha_vals.sum()) - float(beta_vals.sum())) / (2.0 * alpha_vals.size)
+    return alpha_vals - c, beta_vals + c, c
 
 
 def l1_penalty(theta, lam: float) -> float:

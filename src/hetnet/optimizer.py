@@ -21,16 +21,16 @@ shift, which leaves every fitted rate unchanged.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .netdata import CountNetwork, AttributeMatrix
+from .netdata import CountNetwork, AttributeMatrix, _is_whole
 from .objective import (
     LossBreakdown,
     poisson_nll,
     identifiability_penalty,
+    center_sums,
     l1_penalty,
     _check_values,
     _SideLoss,
@@ -70,11 +70,6 @@ class FitDivergenceError(RuntimeError):
 
 class HierarchyViolationError(RuntimeError):
     """A trained net breaks ||W_k||_2 <= M*|theta_k|, which the prox must keep."""
-
-
-def _is_whole(v) -> bool:
-    """An integer value of any real type; NaN, inf and 2.5 are not."""
-    return isinstance(v, numbers.Real) and math.isfinite(v) and int(v) == v
 
 
 @dataclass(frozen=True)
@@ -227,37 +222,20 @@ def update_side(
     forward pass and one loss-and-gradient evaluation; the backward pass
     runs once per point a step is taken from.
 
-    Both passes read X through a :class:`WorkingSet`, the block rows S
-    that may be nonzero: at entry every row that is not all zero (a
-    caller's net may break the hierarchy), after a prox the rows with
-    theta_k != 0, since the cap M*|theta_k| = 0 zeroes the rest.  While
-    |S| <= p/4 the forward pass multiplies X[:, S], gathered once per
-    change of S, and the backward pass X[:, S]' alone whenever the screen
-    certifies that every other row stays zero after the prox, giving
-    those rows a zero gradient.  A full X' product is a refresh: it
-    stores u0 (the gradient w.r.t. the fitted values), ||u0|| and the
-    radius R = min over k outside S of (lam - |g0_k|)/||x_k|| less
-    rounding terms; a later pass at u is screened if S is unchanged since
-    the refresh and delta = ||u - u0|| < R, and refreshes otherwise.  The
-    rounding terms come from |fl(x'u) - x'u| <= gamma_n*||x||*||u||,
-    gamma_n = n*e/(1 - n*e) with e the unit roundoff, which holds in any
-    summation order (Higham 2002, section 3.1): it gives |g_k| <= |g0_k|
-    + ||x_k||*(delta*(1 + gamma_n) + 2*gamma_n*||u0||), so |g_k| < lam and
-    the prox keeps the row at zero, as with the full products.  With
-    lam = 0 no radius is positive and every pass is full.  Above p/4 live
-    rows both passes read all of X (see :class:`WorkingSet`).
+    Both passes read X through a :class:`WorkingSet`, which multiplies
+    only the live rows' columns and certifies, by a rounding-safe screen,
+    that the other rows stay zero after the prox.
 
-    A step is accepted, by
-    swapping the two points, when the composite objective (smooth loss +
-    L1) stays within 1e-9*max(1, |composite|) of where it was; otherwise
-    the step is retried from the unchanged current point with rho
-    halved.  rho recovers after accepted steps.  After 10 consecutive
-    halvings the update ends with one rule: if the last trial raised the
-    composite by at most 1e-3*max(1, |composite|), the net sits at a
-    fixed point of the prox-gradient map and the loop stops early; a
-    larger, infinite or NaN increase raises FitDivergenceError.  A
-    result that breaks the hierarchy constraint raises
-    HierarchyViolationError.
+    A step is accepted, by swapping the two points, when the composite
+    objective (smooth loss + L1) stays within 1e-9*max(1, |composite|)
+    of where it was; otherwise the step is retried from the unchanged
+    current point with rho halved.  rho recovers after accepted steps.
+    After 10 consecutive halvings the update ends with one rule: if the
+    last trial raised the composite by at most 1e-3*max(1, |composite|),
+    the net sits at a fixed point of the prox-gradient map and the loop
+    stops early; a larger, infinite or NaN increase raises
+    FitDivergenceError.  A result that breaks the hierarchy constraint
+    raises HierarchyViolationError.
 
     Returns (fitted values, updated net, smooth-loss trace).  The trace
     has up to inner_epochs+1 entries, entry 0 being the loss at entry;
@@ -378,7 +356,7 @@ def fit(A: CountNetwork, X, config: FitConfig) -> HeterogeneityEstimate:
     net; the loop stops when both fitted-value vectors move less than
     epsilon in 2-norm, or after t_max_outer iterations (converged=False).
     """
-    xmat = X if isinstance(X, AttributeMatrix) else AttributeMatrix(np.asarray(X))
+    xmat = AttributeMatrix.of(X)
     if A.n != xmat.n:
         raise ValueError(f"network has {A.n} nodes but attributes have {xmat.n} rows")
     n, p = xmat.n, xmat.p
@@ -424,11 +402,7 @@ def fit(A: CountNetwork, X, config: FitConfig) -> HeterogeneityEstimate:
             converged = True
             break
 
-    # exact sum matching; the same constant moves both sides so every
-    # alpha_i + beta_j is unchanged up to rounding
-    c = (float(alpha_vals.sum()) - float(beta_vals.sum())) / (2.0 * n)
-    alpha_hat = alpha_vals - c
-    beta_hat = beta_vals + c
+    alpha_hat, beta_hat, c = center_sums(alpha_vals, beta_vals)
 
     return HeterogeneityEstimate(
         alpha_hat=alpha_hat,
@@ -509,7 +483,7 @@ def grid_search(A: CountNetwork, X, base_config: FitConfig, grid, jobs: int = 1)
     grid = [(float(l1), float(l2), float(m)) for (l1, l2, m) in grid]
     if not grid:
         raise ValueError("grid must be non-empty")
-    xmat = X if isinstance(X, AttributeMatrix) else AttributeMatrix(np.asarray(X))
+    xmat = AttributeMatrix.of(X)
     n, p = A.n, xmat.p
 
     fits = _map_jobs(_fit_one_triple, [(A, xmat, base_config, t) for t in grid], jobs)

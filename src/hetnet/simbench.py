@@ -11,7 +11,7 @@ deterministic, including across worker counts.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -279,30 +279,31 @@ class MetricsReport:
 
 
 def _run_one_replication(args):
+    """Replication r's RawRows, and a (r, method, error) entry per failed method.
+
+    A method that raises contributes no rows.
+    """
     setting, n, p, r, base_seed, method_names, config, z_n = args
     seed_r = derive_seed(base_seed, r)
     X, truth, A = simulate_design(setting, n, p, seed_r, z_n)
 
-    results = {}
-    errors = {}
+    rows, errors = [], []
     for name in method_names:
         try:
             res = _METHOD_REGISTRY[name](A, X, config, seed_for(name, seed_r), truth)
-            rows = {}
+            scored = []
             for side, est, true_vals, s_hat, s_true in (
                 ("alpha", res.alpha_hat, truth.alpha0, res.s_alpha, truth.a_alpha),
                 ("beta", res.beta_hat, truth.beta0, res.s_beta, truth.a_beta),
             ):
                 err = rmse(est, true_vals)
-                if s_hat is None:
-                    rows[side] = (err, None, None, None)
-                else:
-                    prec, tpr, f1 = selection_metrics(s_hat, s_true)
-                    rows[side] = (err, prec, tpr, f1)
-            results[name] = rows
+                sel = (None, None, None) if s_hat is None else selection_metrics(s_hat, s_true)
+                scored.append(RawRow(r, name, side, err, *sel))
         except Exception as exc:  # failures are data, not crashes
-            errors[name] = f"{type(exc).__name__}: {exc}"
-    return r, results, errors
+            errors.append((r, name, f"{type(exc).__name__}: {exc}"))
+        else:
+            rows += scored
+    return rows, errors
 
 
 def run_replications(setting: str, n: int, p: int, R: int, methods, base_seed: int,
@@ -329,29 +330,20 @@ def run_replications(setting: str, n: int, p: int, R: int, methods, base_seed: i
     outcomes = _map_jobs(_run_one_replication, tasks, jobs)
 
     raw: list[RawRow] = []
-    acc: dict[tuple[str, str, str], list[float]] = {}
-    failures = {name: 0 for name in method_names}
     failure_log: list[tuple[int, str, str]] = []
-    for r, results, errors in outcomes:
-        for name in method_names:
-            if name in errors:
-                failures[name] += 1
-                failure_log.append((r, name, errors[name]))
-                continue
-            for side in ("alpha", "beta"):
-                err, prec, tpr, f1 = results[name][side]
-                raw.append(RawRow(r, name, side, err, prec, tpr, f1))
-                acc.setdefault((name, side, "rmse"), []).append(err)
-                if prec is not None:
-                    acc.setdefault((name, side, "precision"), []).append(prec)
-                    acc.setdefault((name, side, "tpr"), []).append(tpr)
-                    acc.setdefault((name, side, "f1"), []).append(f1)
+    for rep_rows, rep_errors in outcomes:
+        raw += rep_rows
+        failure_log += rep_errors
+    failures = {name: 0 for name in method_names}
+    for _, name, _ in failure_log:
+        failures[name] += 1
 
     rows: list[MetricRow] = []
     for name in method_names:
         for side in ("alpha", "beta"):
+            scored = [row for row in raw if row.method == name and row.side == side]
             for metric in ("rmse", "precision", "tpr", "f1"):
-                vals = acc.get((name, side, metric))
+                vals = [v for v in (getattr(row, metric) for row in scored) if v is not None]
                 if not vals:
                     continue
                 arr = np.asarray(vals)
@@ -380,9 +372,11 @@ def write_metrics_csv(report: MetricsReport, stream) -> None:
 
 
 def write_raw_csv(report: MetricsReport, stream) -> None:
-    stream.write("replication,method,side,rmse,precision,tpr,f1\n")
+    """One line per RawRow, its fields in order: names as they are, numbers
+    as repr, None as an empty cell."""
+    names = [f.name for f in fields(RawRow)]
+    stream.write(",".join(names) + "\n")
     for row in report.raw:
-        cells = [str(row.replication), row.method, row.side, repr(row.rmse)]
-        for v in (row.precision, row.tpr, row.f1):
-            cells.append("" if v is None else repr(v))
-        stream.write(",".join(cells) + "\n")
+        cells = (getattr(row, k) for k in names)
+        stream.write(",".join("" if v is None else v if isinstance(v, str) else repr(v)
+                              for v in cells) + "\n")

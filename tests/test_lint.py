@@ -31,3 +31,25 @@ def test_module_exports_resolve(path):
     assert isinstance(exports, list) and exports, f"{path.name} defines no __all__"
     missing = [name for name in exports if not hasattr(mod, name)]
     assert not missing, f"{path.name} exports undefined names {missing}"
+
+
+# The module attributes that hetbench/tracing.py wraps to time each layer.
+# The tracer skips a name that no longer resolves, without a word, so a
+# refactor that drops one of these would silently lose its metric.
+TRACED = {
+    "optimizer": ["update_side", "hierarchical_prox", "poisson_nll",
+                  "identifiability_penalty", "_forward_activations", "forward_batch",
+                  "_backward_from_activations"],
+    "importance": ["forward_batch", "shapley_importance"],
+    "baselines": ["mle_fit", "two_stage_select"],
+    "simbench": ["gen_attributes", "sample_network"],
+    "cli": ["write_edge_list", "load_edge_list", "load_attributes"],
+}
+
+
+@pytest.mark.parametrize("module", sorted(TRACED))
+def test_traced_attributes_resolve_to_callables(module):
+    mod = importlib.import_module(f"hetnet.{module}")
+    missing = [name for name in TRACED[module] if not callable(getattr(mod, name, None))]
+    assert not missing, f"hetnet.{module} lacks traced callables {missing}"
+

@@ -1,7 +1,10 @@
 import csv
 import io
+import re
 import tempfile
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -14,9 +17,17 @@ import hetnet.netdata as netdata_mod
 from hetnet import (
     AttributeMatrix,
     CountNetwork,
+    FitConfig,
     NetworkDataError,
+    Rng,
+    fit,
+    grid_search,
+    init_net,
     load_attributes,
     load_edge_list,
+    shapley_importance,
+    simulate_design,
+    two_stage_select,
     write_attributes,
     write_edge_list,
 )
@@ -98,11 +109,28 @@ def test_value_errors_follow_edge_order(kind):
     np.array([[0.0, 1.0, 3.0], [2.0, 0.0, 1.0]]),
     np.array([[0, 1, 3], [2, 0, 1]], dtype=np.int32),
     np.array([[0, 1, 3], [2, 0, 1]], dtype=object),
+    [(0, True, 3), (Decimal("2"), 0, 1)],
+    [(0, 1, 3), (Fraction(2, 1), 0, True)],
+    np.array([[0, 1, Decimal("3")], [np.float64(2.0), 0, 1]], dtype=object),
 ])
 def test_whole_valued_inputs_of_any_type_are_accepted(edges):
     net = CountNetwork.from_edges(3, edges)
     assert list(net.edges()) == [(0, 1, 3), (2, 0, 1)]
     assert net.count.dtype == np.int64
+
+
+@pytest.mark.parametrize("kind", ["list", "generator", "object array"])
+@pytest.mark.parametrize("value", ["0", None, 1 + 0j])
+def test_values_that_are_not_real_numbers_are_a_data_error(value, kind):
+    # an ordered compare of such a value with an int raises a bare TypeError
+    edges = [(0, 1, 1), (1, 2, value), (2, 0, 1)]
+    if kind == "generator":
+        edges = (e for e in edges)
+    elif kind == "object array":
+        edges = np.array(edges, dtype=object)
+    with pytest.raises(NetworkDataError,
+                       match=rf"edge \(1,2,{re.escape(str(value))}\) must hold whole numbers"):
+        CountNetwork.from_edges(3, edges)
 
 
 # ------------------------------------------------------ cached degrees
@@ -531,6 +559,43 @@ def test_attribute_values_read_only():
     x = AttributeMatrix(np.ones((2, 2)))
     with pytest.raises(ValueError):
         x.values[0, 0] = 5.0
+
+
+def test_attribute_matrix_of_keeps_a_matrix_and_copies_anything_else():
+    x = AttributeMatrix(np.ones((2, 2)))
+    assert AttributeMatrix.of(x) is x
+    arr = np.arange(6.0).reshape(3, 2)
+    built = AttributeMatrix.of(arr)
+    assert built.values is not arr and np.array_equal(built.values, arr)
+    assert arr.flags.writeable and not built.values.flags.writeable
+    assert AttributeMatrix.of([[1, 2]]).values.dtype == np.float64
+
+
+def _small_fit_inputs():
+    X, _, A = simulate_design("linear", 20, 10, 5, 10.0)
+    cfg = FitConfig(lambda1=3.0, lambda2=3.0, M=0.5, rho=8e-4, z_n=10.0,
+                    inner_epochs=5, t_max_outer=1, hidden_widths=())
+    return A, X.values.copy(), cfg
+
+
+_ATTRIBUTE_CALLERS = {
+    "fit": lambda A, x, cfg: fit(A, x, cfg),
+    "grid_search": lambda A, x, cfg: grid_search(A, x, cfg, [(3.0, 3.0, 0.5)]),
+    "two_stage_select": lambda A, x, cfg: two_stage_select(A, x, cfg.z_n),
+    "shapley_importance": lambda A, x, cfg: shapley_importance(
+        init_net(x.shape[1], (2,), Rng(1)), x, [0, 1], 2, seed=3),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(_ATTRIBUTE_CALLERS))
+def test_attribute_input_array_is_left_writable_and_unchanged(caller):
+    # the AttributeMatrix constructor freezes the float64 array it is
+    # handed, so wrapping a caller's array in place would freeze it
+    A, x, cfg = _small_fit_inputs()
+    before = x.tobytes()
+    _ATTRIBUTE_CALLERS[caller](A, x, cfg)
+    assert x.flags.writeable
+    assert x.tobytes() == before
 
 
 # ----------------------------------------------------------- edge list IO

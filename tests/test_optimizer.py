@@ -1,5 +1,12 @@
+import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from decimal import Decimal
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -622,6 +629,10 @@ def test_fit_config_validation():
     ("rho", math.nan), ("epsilon", math.nan), ("z_n", math.inf),
     ("t_max_outer", 2.5), ("inner_epochs", 2.5), ("seed", 1.5),
     ("hidden_widths", (math.inf,)),
+    ("t_max_outer", "5"), ("seed", "0"), ("inner_epochs", Fraction(5, 2)),
+    ("hidden_widths", ("4",)), ("hidden_widths", (Decimal("2.5"),)),
+    # past float range: math.isfinite would raise OverflowError
+    pytest.param("seed", 10**400, id="seed-10**400"),
 ])
 def test_fit_config_rejects_non_finite_and_fractional_values(field, value):
     with pytest.raises(ValueError, match=field.replace("_", "[_ ]")):
@@ -629,9 +640,11 @@ def test_fit_config_rejects_non_finite_and_fractional_values(field, value):
 
 
 def test_fit_config_integer_fields_become_int():
-    cfg = FitConfig(t_max_outer=3.0, inner_epochs=np.int64(7), seed=5.0)
-    assert (cfg.t_max_outer, cfg.inner_epochs, cfg.seed) == (3, 7, 5)
-    assert all(type(v) is int for v in (cfg.t_max_outer, cfg.inner_epochs, cfg.seed))
+    for cfg in (FitConfig(t_max_outer=3.0, inner_epochs=np.int64(7), seed=5.0),
+                FitConfig(t_max_outer=Decimal(3), inner_epochs=Fraction(7, 1),
+                          seed=np.float64(5.0))):
+        assert (cfg.t_max_outer, cfg.inner_epochs, cfg.seed) == (3, 7, 5)
+        assert all(type(v) is int for v in (cfg.t_max_outer, cfg.inner_epochs, cfg.seed))
 
 
 def test_fit_config_resolved_defaults():
@@ -647,3 +660,43 @@ def test_fit_config_width_coercion():
     cfg = FitConfig(hidden_widths=(4.0, 2.0), hidden_widths_beta=(3.0,))
     assert cfg.hidden_widths == (4, 2)
     assert cfg.hidden_widths_beta == (3,)
+
+
+# --------------------------------------------------- BLAS kernel choice
+
+def _openblas_dynamic_arch() -> bool:
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return ("openblas" in blas.get("name", "").lower()
+            and "DYNAMIC_ARCH" in blas.get("openblas configuration", ""))
+
+
+_FIT_AND_REPORT = """
+import json
+from hetnet import FitConfig, fit, simulate_design
+X, _, A = simulate_design("linear", 120, 60, 9, 10.0)
+est = fit(A, X, FitConfig(lambda1=18.0, lambda2=18.0, M=0.5, rho=8e-4, z_n=10.0,
+                          inner_epochs=300, t_max_outer=3, hidden_widths=(), seed=11))
+print(json.dumps([sorted(est.s_alpha), sorted(est.s_beta), est.final_loss.total]))
+"""
+
+
+@pytest.mark.skipif(not _openblas_dynamic_arch(),
+                    reason="needs an OpenBLAS built with DYNAMIC_ARCH")
+def test_fit_agrees_across_openblas_kernels():
+    # a DYNAMIC_ARCH OpenBLAS picks its kernels per CPU at load time, so
+    # artifacts are byte-identical only for one machine and BLAS build;
+    # across kernels the fit must still reach the same point
+    src = str(Path(optimizer_mod.__file__).resolve().parent.parent)
+    outs = []
+    for coretype in (None, "Prescott"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env.update(PYTHONPATH=os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])),
+                   OPENBLAS_NUM_THREADS="1")
+        if coretype:
+            env["OPENBLAS_CORETYPE"] = coretype
+        run = subprocess.run([sys.executable, "-c", _FIT_AND_REPORT], env=env,
+                             capture_output=True, text=True, check=True)
+        outs.append(json.loads(run.stdout))
+    (sa0, sb0, total0), (sa1, sb1, total1) = outs
+    assert (sa0, sb0) == (sa1, sb1)
+    assert math.isclose(total0, total1, rel_tol=1e-12, abs_tol=0.0)
